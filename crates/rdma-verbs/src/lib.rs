@@ -897,7 +897,9 @@ mod tests {
         p.tb.sim.run_until_idle();
         assert_eq!(p.qp_b.recv_posted(), 4, "one receive consumed");
         assert_eq!(p.qp_b.stats().recvs_posted, 5);
-        assert_eq!(p.qp_b.stats().bytes_received, 32);
+        let rx = p.rcq_b.poll(8);
+        assert_eq!(rx.len(), 1);
+        assert_eq!(rx[0].byte_len, 32);
     }
 
     #[test]

@@ -44,17 +44,14 @@ use crate::types::{Access, QpNum, QpState, Wc, WcOpcode, WcStatus, WrId};
 use crate::wr::{RecvWr, SendOp, SendWr};
 use crate::CompletionQueue;
 
-/// Counters exposed for tests, ablations and debugging.
+/// Counters exposed for tests, ablations and debugging: a snapshot read
+/// from the metrics registry by [`QueuePair::stats`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct QpStats {
     /// Send-queue WRs posted.
     pub sends_posted: u64,
     /// Receive-queue WRs posted.
     pub recvs_posted: u64,
-    /// Payload bytes carried by completed outbound operations.
-    pub bytes_sent: u64,
-    /// Payload bytes placed by inbound operations.
-    pub bytes_received: u64,
     /// Inbound messages that had to wait for a receive WR (RNR holds).
     pub rnr_stalls: u64,
     /// Successful completions suppressed by selective signaling.
@@ -121,7 +118,6 @@ pub(crate) struct QpInner {
     /// retransmitted (RC hardware times the oldest unacknowledged PSN and
     /// restarts the clock on every ACK).
     last_ack_progress: Nanos,
-    stats: QpStats,
     /// Shared cross-layer registry (the owning network's), plus this QP's
     /// key prefix `rdma.{host}.{qpnum}.`.
     metrics: simnet::Metrics,
@@ -136,6 +132,11 @@ impl QpInner {
     fn bump(&self, metric: &str, n: u64) {
         self.metrics
             .incr_by(&format!("{}{metric}", self.metrics_prefix), n);
+    }
+
+    fn counter(&self, metric: &str) -> u64 {
+        self.metrics
+            .counter(&format!("{}{metric}", self.metrics_prefix))
     }
 
     /// Advances the in-order watermark after accepting the expected
@@ -205,7 +206,6 @@ impl QueuePair {
                 next_seq: 0,
                 rx_expected: 0,
                 last_ack_progress: Nanos::ZERO,
-                stats: QpStats::default(),
                 metrics,
                 metrics_prefix,
                 event_hook: None,
@@ -249,9 +249,24 @@ impl QueuePair {
         self.inner.borrow().recv_cq.clone()
     }
 
-    /// Operation counters.
+    /// Operation counters: a typed view over this QP's
+    /// `rdma.{host}.{qpn}.*` registry keys. The registry is the only
+    /// store, so the view is exact while the prefix names this QP alone —
+    /// one device per host on a network (QP numbers are per device and
+    /// never reused).
     pub fn stats(&self) -> QpStats {
-        self.inner.borrow().stats
+        let inner = self.inner.borrow();
+        let c = |metric: &str| inner.counter(metric);
+        QpStats {
+            sends_posted: c("sends_posted"),
+            recvs_posted: c("recvs_posted"),
+            rnr_stalls: c("rnr_retries"),
+            completions_suppressed: c("unsignaled_completions"),
+            dropped_packets: c("dropped_packets"),
+            retransmits: c("retransmits"),
+            duplicates_suppressed: c("duplicates_suppressed"),
+            ooo_dropped: c("ooo_dropped"),
+        }
     }
 
     /// Number of receive WRs currently posted.
@@ -379,7 +394,6 @@ impl QueuePair {
             let cost = model.post_batch_cost(wrs.len());
             let core = inner.core;
             cpu_done = self.device.host_exec(sim, core, cost);
-            inner.stats.recvs_posted += wrs.len() as u64;
             inner.bump("recvs_posted", wrs.len() as u64);
             inner.recv_queue.extend(wrs);
         }
@@ -456,7 +470,6 @@ impl QueuePair {
             let cost = model.post_batch_cost(wrs.len());
             let core = inner.core;
             cpu_done = self.device.host_exec(sim, core, cost);
-            inner.stats.sends_posted += wrs.len() as u64;
             inner.bump("sends_posted", wrs.len() as u64);
             for wr in &wrs {
                 if wr.inline {
@@ -666,7 +679,6 @@ impl QueuePair {
                 p.retries_left -= 1;
                 p.retry_timer = None;
                 let pkt = p.packet.clone();
-                inner.stats.retransmits += 1;
                 inner.bump("retransmits", 1);
                 Some((pkt, inner.local_addr, inner.remote))
             }
@@ -764,15 +776,13 @@ impl QueuePair {
                 Silent,
             }
             let verdict = {
-                let mut inner = self.inner.borrow_mut();
+                let inner = self.inner.borrow();
                 if seq > inner.rx_expected {
-                    inner.stats.ooo_dropped += 1;
                     inner.bump("ooo_dropped", 1);
                     Verdict::Drop
                 } else if seq == inner.rx_expected || is_read {
                     Verdict::Accept
                 } else {
-                    inner.stats.duplicates_suppressed += 1;
                     inner.bump("duplicates_suppressed", 1);
                     // If the first copy is still parked in the RNR hold
                     // queue, stay silent: acking now would confirm data
@@ -864,7 +874,7 @@ impl QueuePair {
                 None
             };
             if !inner.state.can_receive() {
-                inner.stats.dropped_packets += 1;
+                inner.bump("dropped_packets", 1);
                 if let Some(rwr) = wr {
                     inner.recv_queue.push_front(rwr);
                 }
@@ -878,7 +888,6 @@ impl QueuePair {
                 }
             } else {
                 if !redelivery {
-                    inner.stats.rnr_stalls += 1;
                     inner.bump("rnr_retries", 1);
                     inner.metrics.trace(
                         sim.now(),
@@ -903,10 +912,9 @@ impl QueuePair {
                     cqe_at,
                     Box::new(move |sim| {
                         let (num, remote, local) = {
-                            let mut inner = qp.inner.borrow_mut();
+                            let inner = qp.inner.borrow();
                             let _ = rwr.sge.mr.dma_write(rwr.sge.offset, &data);
                             qp.device.net().buffer_pool().put(data);
-                            inner.stats.bytes_received += len as u64;
                             inner.bump("recvs_completed", 1);
                             qp.device
                                 .net()
@@ -1052,7 +1060,6 @@ impl QueuePair {
             if !has_recv {
                 {
                     let mut inner = self.inner.borrow_mut();
-                    inner.stats.rnr_stalls += 1;
                     inner.bump("rnr_retries", 1);
                     inner.rx_mark_seen(seq);
                     inner.held.push_back(HeldInbound {
@@ -1090,7 +1097,6 @@ impl QueuePair {
                 }
                 let (local, remote) = {
                     let mut inner = qp.inner.borrow_mut();
-                    inner.stats.bytes_received += len as u64;
                     qp.device
                         .net()
                         .host(inner.local_addr.host)
@@ -1203,8 +1209,7 @@ impl QueuePair {
                 let ok = sink.mr.dma_write(sink.offset, &data).is_ok();
                 qp.device.net().buffer_pool().put(data);
                 {
-                    let mut inner = qp.inner.borrow_mut();
-                    inner.stats.bytes_sent += len as u64;
+                    let inner = qp.inner.borrow();
                     inner.bump("sends_completed", 1);
                     qp.device
                         .net()
@@ -1227,7 +1232,6 @@ impl QueuePair {
                         };
                         inner.send_cq.push(wc);
                     } else {
-                        inner.stats.completions_suppressed += 1;
                         inner.bump("unsignaled_completions", 1);
                     }
                 }
@@ -1242,7 +1246,6 @@ impl QueuePair {
             if let Some(p) = inner.pending.remove(&seq) {
                 inner.last_ack_progress = sim.now();
                 inner.outstanding_sends = inner.outstanding_sends.saturating_sub(1);
-                inner.stats.bytes_sent += p.byte_len as u64;
                 inner.bump("sends_completed", 1);
                 if p.signaled {
                     inner.bump("signaled_completions", 1);
@@ -1256,7 +1259,6 @@ impl QueuePair {
                     };
                     inner.send_cq.push(wc);
                 } else {
-                    inner.stats.completions_suppressed += 1;
                     inner.bump("unsignaled_completions", 1);
                 }
                 let timer = p.retry_timer;

@@ -57,8 +57,9 @@ impl Default for RecoveryConfig {
     }
 }
 
-/// Counters exposed by the scheduler (also mirrored as `proactive_*`
-/// metrics on the shared registry).
+/// Counters exposed by the scheduler: a snapshot of its
+/// `recovery.proactive_*` registry keys, read by
+/// [`RecoveryScheduler::stats`]. Field `x` is key `recovery.proactive_x`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RecoveryStats {
     /// Epoch rolls issued (one per rotation start).
@@ -88,12 +89,15 @@ struct SchedInner {
     refreshing: Option<usize>,
     /// Victims still to refresh in the current rotation.
     pending: VecDeque<usize>,
-    stats: RecoveryStats,
 }
 
 impl SchedInner {
     fn bump(&self, metric: &str) {
         self.metrics.incr(&format!("recovery.{metric}"));
+    }
+
+    fn counter(&self, metric: &str) -> u64 {
+        self.metrics.counter(&format!("recovery.{metric}"))
     }
 }
 
@@ -123,7 +127,6 @@ impl RecoveryScheduler {
                 epoch: 0,
                 refreshing: None,
                 pending: VecDeque::new(),
-                stats: RecoveryStats::default(),
             })),
         }
     }
@@ -151,12 +154,10 @@ impl RecoveryScheduler {
         let (epoch, replicas) = {
             let mut inner = self.inner.borrow_mut();
             if inner.refreshing.is_some() || !inner.pending.is_empty() {
-                inner.stats.rotations_skipped += 1;
                 inner.bump("proactive_rotations_skipped");
                 return false;
             }
             inner.epoch += 1;
-            inner.stats.epoch_rolls += 1;
             inner.bump("proactive_epoch_rolls");
             inner.pending = (0..inner.replicas.len()).collect();
             (inner.epoch, inner.replicas.clone())
@@ -183,9 +184,18 @@ impl RecoveryScheduler {
         self.inner.borrow().refreshing
     }
 
-    /// Scheduler counters.
+    /// Scheduler counters: a typed view over the `recovery.proactive_*`
+    /// registry keys. The registry is the only store, so the view is exact
+    /// while one scheduler runs per registry.
     pub fn stats(&self) -> RecoveryStats {
-        self.inner.borrow().stats
+        let inner = self.inner.borrow();
+        RecoveryStats {
+            epoch_rolls: inner.counter("proactive_epoch_rolls"),
+            refreshes_completed: inner.counter("proactive_refreshes_completed"),
+            refresh_timeouts: inner.counter("proactive_refresh_timeouts"),
+            rotations_completed: inner.counter("proactive_rotations_completed"),
+            rotations_skipped: inner.counter("proactive_rotations_skipped"),
+        }
     }
 
     fn refresh_next(&self, sim: &mut Simulator) {
@@ -197,7 +207,6 @@ impl RecoveryScheduler {
                     v
                 }
                 None => {
-                    inner.stats.rotations_completed += 1;
                     inner.bump("proactive_rotations_completed");
                     return;
                 }
@@ -231,12 +240,10 @@ impl RecoveryScheduler {
                 if rejoined {
                     let mut inner = sched.inner.borrow_mut();
                     inner.refreshing = None;
-                    inner.stats.refreshes_completed += 1;
                     inner.bump("proactive_refreshes_completed");
                 } else if sim.now() >= deadline {
                     let mut inner = sched.inner.borrow_mut();
                     inner.refreshing = None;
-                    inner.stats.refresh_timeouts += 1;
                     inner.bump("proactive_refresh_timeouts");
                 } else {
                     sched.poll_rejoin(sim, victim, poll, deadline);

@@ -99,7 +99,8 @@ pub enum ByzantineMode {
     LateSlotWriter,
 }
 
-/// Per-replica counters used by tests and benchmarks.
+/// Per-replica counters used by tests and benchmarks: a snapshot read
+/// from the metrics registry by [`Replica::stats`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ReplicaStats {
     /// Batches executed.
@@ -245,7 +246,6 @@ struct ReplicaInner {
     /// Outbound serialization horizon: sends leave the replica in
     /// submission order (the comm stack's single sender queue).
     send_horizon: Nanos,
-    stats: ReplicaStats,
     /// Shared registry plus this replica's `reptor.r{id}.` key prefix.
     metrics: simnet::Metrics,
     metrics_prefix: String,
@@ -371,7 +371,6 @@ impl Replica {
                 voted_view: 0,
                 vc_attempts: 0,
                 send_horizon: Nanos::ZERO,
-                stats: ReplicaStats::default(),
                 metrics: net.metrics(),
                 metrics_prefix: format!("reptor.r{id}."),
                 arrivals: HashMap::new(),
@@ -487,9 +486,38 @@ impl Replica {
         self.inner.borrow().executor.executed_log.clone()
     }
 
-    /// Counters.
+    /// Counters: a typed view over this replica's `reptor.r{id}.*`
+    /// registry keys. The registry is the only store, so the view is exact
+    /// while the prefix names this replica alone — one `Replica` per id per
+    /// network ([`Replica::restart`] keeps the same object and its counts).
     pub fn stats(&self) -> ReplicaStats {
-        self.inner.borrow().stats
+        let inner = self.inner.borrow();
+        let c = |metric: &str| inner.counter(metric);
+        ReplicaStats {
+            executed_batches: c("batches_executed"),
+            executed_requests: c("requests_executed"),
+            pre_prepares_sent: c("pre_prepares_sent"),
+            prepares_sent: c("prepares_sent"),
+            commits_sent: c("commits_sent"),
+            replies_sent: c("replies"),
+            stable_checkpoints: c("checkpoints_stable"),
+            view_changes_sent: c("view_changes"),
+            view_changes_abandoned: c("view_changes_abandoned"),
+            catch_up_requests_sent: c("catch_up_requests_sent"),
+            catch_up_replies_sent: c("catch_up_replies_sent"),
+            catch_ups_applied: c("catch_ups_applied"),
+            catch_up_replies_truncated: c("catch_up_replies_truncated"),
+            state_transfers_started: c("state_transfer_started"),
+            state_transfers_completed: c("state_transfer_completed"),
+            state_transfer_retries: c("state_transfer_retries"),
+            bad_mac_dropped: c("bad_mac_dropped"),
+            malformed_dropped: c("malformed_dropped"),
+            stale_epoch_rejected: c("stale_epoch_rejected"),
+            epoch_rolls: c("epoch_rolls"),
+            fast_path_writes: c("fast_path_writes"),
+            fast_path_fallbacks: c("fast_path_fallbacks"),
+            fast_path_deliveries: c("fast_path_deliveries"),
+        }
     }
 
     /// The recovery epoch this replica currently tags its store offers
@@ -521,7 +549,6 @@ impl Replica {
                 return;
             }
             inner.recovery_epoch = epoch;
-            inner.stats.epoch_rolls += 1;
             inner.bump("epoch_rolls", 1);
             inner.metrics.trace(
                 sim.now(),
@@ -831,7 +858,7 @@ impl Replica {
         let signed = match SignedMessage::decode(&bytes) {
             Ok(s) => s,
             Err(_) => {
-                self.inner.borrow_mut().stats.malformed_dropped += 1;
+                self.inner.borrow().bump("malformed_dropped", 1);
                 return;
             }
         };
@@ -844,11 +871,11 @@ impl Replica {
             let verified = signed.verify_and_decode(&inner.keys);
             match verified {
                 Err(_) => {
-                    inner.stats.malformed_dropped += 1;
+                    inner.bump("malformed_dropped", 1);
                     return;
                 }
                 Ok(None) => {
-                    inner.stats.bad_mac_dropped += 1;
+                    inner.bump("bad_mac_dropped", 1);
                     return;
                 }
                 Ok(Some(m)) => {
@@ -1066,7 +1093,6 @@ impl Replica {
                 return;
             }
             inner.last_catch_up_at = now;
-            inner.stats.catch_up_requests_sent += 1;
             inner.bump("catch_up_requests_sent", 1);
             Message::CatchUpRequest {
                 from_seq: inner.executor.last_executed + 1,
@@ -1131,7 +1157,6 @@ impl Replica {
                         let core = inner.affinity.seq_core(seq);
                         let cost = inner.cfg.crypto.digest_cost(batch_bytes(&batch));
                         inner.charge(sim, core, cost);
-                        inner.stats.pre_prepares_sent += 1;
                         inner.bump("pre_prepares_sent", 1);
                         inner.observe(
                             "batch_fill_pct",
@@ -1593,13 +1618,11 @@ impl Replica {
                 uncovered.push(peer);
             }
         }
-        let mut inner = self.inner.borrow_mut();
+        let inner = self.inner.borrow();
         if written > 0 {
-            inner.stats.fast_path_writes += written;
             inner.bump("fast_path_writes", written);
         }
         if !uncovered.is_empty() {
-            inner.stats.fast_path_fallbacks += uncovered.len() as u64;
             inner.bump("fast_path_fallbacks", uncovered.len() as u64);
         }
         uncovered
@@ -1623,7 +1646,6 @@ impl Replica {
                 _ => false,
             };
             if current {
-                inner.stats.fast_path_fallbacks += 1;
                 inner.bump("fast_path_fallbacks", 1);
             }
             current
@@ -1667,7 +1689,7 @@ impl Replica {
             batch,
         }) = Message::decode(&bytes)
         else {
-            self.inner.borrow_mut().stats.malformed_dropped += 1;
+            self.inner.borrow().bump("malformed_dropped", 1);
             return;
         };
         let accept = {
@@ -1687,7 +1709,6 @@ impl Replica {
                 inner.bump("fast_path_slot_conflicts", 1);
                 false
             } else {
-                inner.stats.fast_path_deliveries += 1;
                 inner.bump("fast_path_deliveries", 1);
                 true
             }
@@ -1784,7 +1805,6 @@ impl Replica {
                 let me = inner.id;
                 let lane = inner.affinity.lane_of(seq);
                 if inner.pipelines[lane].accept_pre_prepare(view, seq, digest, batch, me) {
-                    inner.stats.prepares_sent += 1;
                     inner.bump("prepares_sent", 1);
                     inner.note_pre_prepare(sim.now(), seq);
                     true
@@ -1871,7 +1891,6 @@ impl Replica {
             else {
                 return;
             };
-            inner.stats.commits_sent += 1;
             inner.bump("commits_sent", 1);
             if let Some(d) = since_pp {
                 inner.observe("phase.preprepare_to_prepared", d);
@@ -1958,7 +1977,6 @@ impl Replica {
                 let since_commit = exec
                     .committed_at
                     .map(|t| sim.now().as_nanos().saturating_sub(t.as_nanos()));
-                inner.stats.executed_batches += 1;
                 inner.bump("batches_executed", 1);
                 if let Some(d) = since_commit {
                     inner.observe("phase.committed_to_executed", d);
@@ -1984,7 +2002,6 @@ impl Replica {
                         .client_state
                         .insert(req.client, (req.timestamp, result.clone()));
                     inner.proposed.remove(&(req.client, req.timestamp));
-                    inner.stats.executed_requests += 1;
                     inner.bump("requests_executed", 1);
                     replies.push((req.client, req.timestamp, result));
                 }
@@ -2033,8 +2050,8 @@ impl Replica {
 
     fn send_reply(&self, sim: &mut Simulator, client: ClientId, timestamp: u64, result: Vec<u8>) {
         let (view, me) = {
-            let mut inner = self.inner.borrow_mut();
-            inner.stats.replies_sent += 1;
+            let inner = self.inner.borrow();
+            inner.bump("replies", 1);
             (inner.view, inner.id)
         };
         self.send_msg(
@@ -2204,7 +2221,6 @@ impl Replica {
         if inner.pending_stable.is_some_and(|(s, _)| s <= seq) {
             inner.pending_stable = None;
         }
-        inner.stats.stable_checkpoints += 1;
         let freed: u64 = inner
             .pipelines
             .iter_mut()
@@ -2367,7 +2383,6 @@ impl Replica {
                 transfer.set_local_candidate(local);
             }
             inner.transfer = Some(transfer);
-            inner.stats.state_transfers_started += 1;
             inner.bump("state_transfer_started", 1);
             inner.metrics.trace(
                 sim.now(),
@@ -2511,7 +2526,6 @@ impl Replica {
                 inner.bump("state_transfer_bytes", accepted_bytes);
             }
             if retried {
-                inner.stats.state_transfer_retries += 1;
                 inner.bump("state_transfer_retries", 1);
             }
         }
@@ -2529,7 +2543,7 @@ impl Replica {
         epoch: u64,
     ) {
         let reply = {
-            let mut inner = self.inner.borrow_mut();
+            let inner = self.inner.borrow();
             if requester == inner.id || requester >= inner.cfg.n as u32 {
                 return;
             }
@@ -2537,7 +2551,6 @@ impl Replica {
             // with a stale recovery epoch is refused outright. The fetcher's
             // stall timer rotates it to a peer with a fresh offer.
             if epoch != inner.recovery_epoch {
-                inner.stats.stale_epoch_rejected += 1;
                 inner.bump("stale_epoch_rejected", 1);
                 return;
             }
@@ -2621,7 +2634,6 @@ impl Replica {
                 inner.bump("state_transfer_bytes_local", local.1);
             }
             if retried {
-                inner.stats.state_transfer_retries += 1;
                 inner.bump("state_transfer_retries", 1);
             }
         }
@@ -2674,7 +2686,6 @@ impl Replica {
             if inner.pending_stable.is_some_and(|(s, _)| s <= target) {
                 inner.pending_stable = None;
             }
-            inner.stats.state_transfers_completed += 1;
             inner.bump("state_transfer_completed", 1);
             // The replica is provisioned again: the next crash's rejoin
             // probes must start back at the base backoff period.
@@ -2740,7 +2751,6 @@ impl Replica {
                         }
                     };
                     if stalled {
-                        inner.stats.state_transfer_retries += 1;
                         inner.bump("state_transfer_retries", 1);
                     }
                     stalled
@@ -2891,11 +2901,9 @@ impl Replica {
             return;
         }
         {
-            let mut inner = self.inner.borrow_mut();
-            inner.stats.catch_up_replies_sent += replies.len() as u64;
+            let inner = self.inner.borrow();
             inner.bump("catch_up_replies_sent", replies.len() as u64);
             if truncated {
-                inner.stats.catch_up_replies_truncated += 1;
                 inner.bump("catch_up_replies_truncated", 1);
             }
         }
@@ -2989,7 +2997,6 @@ impl Replica {
                     );
                     inner.pipelines[lane].committed += 1;
                     inner.bump_lane_committed(lane);
-                    inner.stats.catch_ups_applied += 1;
                     inner.bump("catch_ups_applied", 1);
                     inner.metrics.trace(
                         now,
@@ -3014,7 +3021,6 @@ impl Replica {
             }
             inner.in_view_change = true;
             inner.voted_view = new_view;
-            inner.stats.view_changes_sent += 1;
             inner.bump("view_changes", 1);
             inner.metrics.trace(
                 sim.now(),
@@ -3117,7 +3123,6 @@ impl Replica {
                             // fresh prepared proofs instead of leaving a
                             // stale certificate snapshot live at peers.
                             inner.voted_view = inner.view;
-                            inner.stats.view_changes_abandoned += 1;
                             inner.bump("view_changes_abandoned", 1);
                             inner.metrics.trace(
                                 sim.now(),
@@ -3306,8 +3311,7 @@ impl Replica {
         let me = self.id();
         for (seq, digest) in prepares_to_send {
             {
-                let mut inner = self.inner.borrow_mut();
-                inner.stats.prepares_sent += 1;
+                let inner = self.inner.borrow();
                 inner.bump("prepares_sent", 1);
             }
             self.broadcast_to_replicas(
@@ -3390,6 +3394,12 @@ impl ReplicaInner {
     fn bump(&self, metric: &str, n: u64) {
         self.metrics
             .incr_by(&format!("{}{metric}", self.metrics_prefix), n);
+    }
+
+    /// Current value of the `reptor.r{id}.{metric}` counter.
+    fn counter(&self, metric: &str) -> u64 {
+        self.metrics
+            .counter(&format!("{}{metric}", self.metrics_prefix))
     }
 
     /// Records `value` in the `reptor.r{id}.{metric}` histogram.
@@ -3638,6 +3648,117 @@ mod tests {
             1,
             "seq == high watermark + 1 must be rejected"
         );
+    }
+
+    /// A replica fails closed on input it cannot trust. An undecodable
+    /// frame and an undecodable fast-path slot record are dropped as
+    /// malformed, a frame whose MAC was flipped in flight is dropped as a
+    /// MAC failure, each is counted exactly once in the registry, and the
+    /// group still commits the next request.
+    #[test]
+    fn untrusted_input_is_dropped_counted_and_agreement_continues() {
+        use crate::{Client, RubinTransport, DOMAIN_SECRET};
+        use rdma_verbs::RnicModel;
+        use rubin::RubinConfig;
+        use simnet::TestBed;
+
+        let cfg = ReptorConfig {
+            fast_path: true,
+            ..ReptorConfig::small()
+        };
+        let n = cfg.n;
+        let (mut sim, net, hosts) = TestBed::cluster(43, n + 1);
+        let nodes: Vec<(u32, HostId, CoreId)> = hosts
+            .iter()
+            .enumerate()
+            .map(|(i, &h)| (i as u32, h, CoreId(0)))
+            .collect();
+        let transports: Vec<Rc<dyn Transport>> = RubinTransport::build_group(
+            &mut sim,
+            &net,
+            &nodes,
+            RnicModel::mt27520(),
+            RubinConfig::paper(),
+        )
+        .into_iter()
+        .map(|t| Rc::new(t) as Rc<dyn Transport>)
+        .collect();
+        sim.run_until_idle();
+        let replicas: Vec<Replica> = (0..n)
+            .map(|i| {
+                Replica::new(
+                    i as u32,
+                    cfg.clone(),
+                    DOMAIN_SECRET,
+                    transports[i].clone(),
+                    &net,
+                    hosts[i],
+                    Box::new(CounterService::default()),
+                )
+            })
+            .collect();
+        let client = Client::new(n as u32, cfg.clone(), DOMAIN_SECRET, transports[n].clone());
+        let commit = |sim: &mut Simulator, want: u64| {
+            client.submit(sim, b"inc".to_vec());
+            while client.stats().completed < want {
+                assert!(sim.step(), "agreement stalled");
+            }
+        };
+        commit(&mut sim, 1);
+        sim.run_until_idle();
+
+        let victim = &replicas[1];
+        let metrics = net.metrics();
+        let count = |metric: &str| metrics.counter(&format!("reptor.r1.{metric}"));
+        let (malformed, bad_mac) = (count("malformed_dropped"), count("bad_mac_dropped"));
+
+        // An undecodable frame on the message path.
+        transports[0].send(&mut sim, 1, vec![0xA5; 3]);
+        // A well-formed COMMIT from replica 0 whose MAC for the victim was
+        // flipped in flight.
+        let commit_msg = Message::Commit {
+            view: 0,
+            seq: 1,
+            digest: Digest::of(b"tampered"),
+            replica: 0,
+        };
+        let keys = KeyTable::new(0, DOMAIN_SECRET.to_vec());
+        let mut signed = SignedMessage::create(&commit_msg, &keys, &[1]);
+        signed.auth.macs[0].1[0] ^= 0x01;
+        transports[0].send(&mut sim, 1, signed.encode());
+        // An undecodable record deposited one-sidedly by the view-0 leader
+        // into a slot no live instance occupies.
+        let region = victim
+            .inner
+            .borrow()
+            .slot_region
+            .expect("the fast path registered a slot region");
+        let slot = (2 * cfg.checkpoint_interval - 1) as u32;
+        let landed = Rc::new(std::cell::Cell::new(false));
+        let flag = landed.clone();
+        assert!(transports[0].write_slot(
+            &mut sim,
+            1,
+            region.rkey,
+            u64::from(slot) * FAST_PATH_SLOT_SIZE,
+            &[0xEE; 64],
+            slot,
+            Box::new(move |_, ok| flag.set(ok)),
+        ));
+        sim.run_until_idle();
+        assert!(landed.get(), "the granted leader's WRITE is permitted");
+
+        assert_eq!(count("malformed_dropped") - malformed, 2);
+        assert_eq!(count("bad_mac_dropped") - bad_mac, 1);
+        let stats = victim.stats();
+        assert_eq!(stats.malformed_dropped, count("malformed_dropped"));
+        assert_eq!(stats.bad_mac_dropped, count("bad_mac_dropped"));
+
+        commit(&mut sim, 2);
+        sim.run_until_idle();
+        for r in &replicas {
+            assert_eq!(r.last_executed(), 2, "replica {} executed both", r.id());
+        }
     }
 
     #[test]

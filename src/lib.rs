@@ -10,10 +10,8 @@
 //!   framework.
 //! * [`bft_crypto`] — SHA-256 / HMAC / MAC-vector authenticators.
 //! * [`reptor`] — PBFT state-machine replication with COP parallelization.
-//! * [`chainstore`] — permissioned blockchain on top of `reptor`.
 
 pub use bft_crypto;
-pub use chainstore;
 pub use rdma_verbs;
 pub use reptor;
 pub use rubin;

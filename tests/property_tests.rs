@@ -2,7 +2,6 @@
 //! spanning every crate in the workspace.
 
 use bft_crypto::{hmac_sha256, sha256, verify_hmac, Digest, KeyTable, Sha256};
-use chainstore::{Chain, Transaction};
 use proptest::prelude::*;
 use reptor::{
     Cluster, CounterService, KvOp, Message, PreparedProof, ReptorConfig, Request, SignedMessage,
@@ -261,20 +260,6 @@ proptest! {
         }
         let _ = KvOp::decode(&garbage);
     }
-
-    /// Ledger transactions round-trip; garbage never panics.
-    #[test]
-    fn transaction_roundtrip(a in "[a-z]{1,12}", b in "[a-z]{1,12}", amount in any::<u64>(),
-                             garbage in proptest::collection::vec(any::<u8>(), 0..128)) {
-        for tx in [
-            Transaction::transfer(&a, &b, amount),
-            Transaction::mint(&a, amount),
-            Transaction::shipment(&a, &b, &a, &b),
-        ] {
-            prop_assert_eq!(Transaction::decode(&tx.encode()), Some(tx));
-        }
-        let _ = Transaction::decode(&garbage);
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -337,33 +322,6 @@ proptest! {
             out
         };
         prop_assert_eq!(run(seed, &payloads), run(seed, &payloads));
-    }
-}
-
-// ---------------------------------------------------------------------
-// Blockchain
-// ---------------------------------------------------------------------
-
-proptest! {
-    /// A chain built through `next_block`/`append` always verifies, and
-    /// flipping any transaction breaks verification from that height on.
-    #[test]
-    fn chain_integrity(amounts in proptest::collection::vec(1u64..1_000, 1..12),
-                       tamper_at in any::<prop::sample::Index>()) {
-        let mut chain = Chain::new();
-        for &a in &amounts {
-            let b = chain.next_block(vec![Transaction::mint("acct", a)]);
-            chain.append(b).expect("extends tip");
-        }
-        chain.verify().expect("untampered chain verifies");
-
-        if chain.len() > 2 {
-            let h = 1 + tamper_at.index(chain.len() - 2) as u64;
-            chain.tamper(h, |b| {
-                b.transactions[0] = Transaction::mint("mallory", u64::MAX);
-            });
-            prop_assert!(chain.verify().is_err());
-        }
     }
 }
 

@@ -46,12 +46,6 @@ fn cascading_faulty_primaries_are_skipped() {
             "replica {} counted {vc} view changes, expected >= 2",
             r.id()
         );
-        assert_eq!(
-            vc,
-            r.stats().view_changes_sent,
-            "registry and ReplicaStats must agree for replica {}",
-            r.id()
-        );
     }
     assert!(
         snap.trace
