@@ -4,6 +4,7 @@
 //! Usage: `cargo run --release -p bench --bin report [msgs] > report.md`
 
 use bench::{ablation, fig3, fig4, replicated};
+use reptor::Stack;
 use simnet::Series;
 
 fn md_table(title: &str, unit: &str, series: &[Series]) {
@@ -94,10 +95,9 @@ fn main() {
 fn write_metrics_sidecar(msgs: usize) -> String {
     let (_, tcp) = fig3::tcp_echo_instrumented(4096, msgs);
     let (_, ch) = fig3::channel_echo_instrumented(4096, msgs, rubin::RubinConfig::paper());
-    let (_, bft) =
-        replicated::bft_echo_instrumented(replicated::Stack::Rubin, 1024, msgs as u64, 8, 0xB4);
+    let (_, bft) = replicated::bft_echo_instrumented(Stack::Rubin, 1024, msgs as u64, 8, 0xB4);
     let (_, fast) = replicated::bft_configured_instrumented(
-        replicated::Stack::Rubin,
+        Stack::Rubin,
         bench::workload::Mix::Fixed(1024),
         msgs as u64,
         8,

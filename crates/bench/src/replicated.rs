@@ -7,41 +7,13 @@
 //! against a 4-replica Reptor group whose replica communication runs over
 //! the NIO-TCP stack, the RUBIN-RDMA stack, or the direct fabric.
 
-use std::rc::Rc;
-
-use rdma_verbs::RnicModel;
 use reptor::{
-    Client, DurabilityConfig, EchoService, KvOp, KvService, NioTransport, RecoveryConfig,
-    RecoveryScheduler, Replica, ReptorConfig, RubinTransport, SimTransport, Transport,
-    DOMAIN_SECRET,
+    Client, DurabilityConfig, EchoService, KvOp, KvService, RecoveryConfig, RecoveryScheduler,
+    Replica, ReptorConfig, Stack, DOMAIN_SECRET,
 };
-use rubin::RubinConfig;
-use simnet::{throughput_ops_per_sec, CoreId, LatencyRecorder, Series, TestBed};
-use simnet_socket::TcpModel;
+use simnet::{throughput_ops_per_sec, LatencyRecorder, Series, TestBed};
 
 use crate::EchoResult;
-
-/// Which comm stack the replicas use.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Stack {
-    /// Direct fabric delivery (no comm-stack CPU model) — the upper bound.
-    Direct,
-    /// Java-NIO-style TCP stack.
-    Nio,
-    /// RUBIN RDMA stack.
-    Rubin,
-}
-
-impl Stack {
-    /// Display label.
-    pub fn label(self) -> &'static str {
-        match self {
-            Stack::Direct => "Direct",
-            Stack::Nio => "TCP (NIO)",
-            Stack::Rubin => "RDMA (Rubin)",
-        }
-    }
-}
 
 /// The pipeline counts swept by the COP scaling experiment (Behl et al.'s
 /// Consensus-Oriented Parallelization). `p = 4` oversubscribes the three
@@ -181,41 +153,7 @@ fn bft_instrumented(
 ) -> (EchoResult, simnet::MetricsSnapshot) {
     let n = cfg.n;
     let (mut sim, net, hosts) = TestBed::cluster(seed, n + 1);
-    let nodes: Vec<(u32, simnet::HostId, CoreId)> = hosts
-        .iter()
-        .enumerate()
-        .map(|(i, &h)| (i as u32, h, CoreId(0)))
-        .collect();
-
-    let transports: Vec<Rc<dyn Transport>> = match stack {
-        Stack::Direct => {
-            let pairs: Vec<(u32, simnet::HostId)> = nodes.iter().map(|&(n, h, _)| (n, h)).collect();
-            SimTransport::build_group(&net, &pairs)
-                .into_iter()
-                .map(|t| Rc::new(t) as Rc<dyn Transport>)
-                .collect()
-        }
-        Stack::Nio => {
-            let ts = NioTransport::build_group(&mut sim, &net, &nodes, TcpModel::linux_xeon());
-            sim.run_until_idle();
-            ts.into_iter()
-                .map(|t| Rc::new(t) as Rc<dyn Transport>)
-                .collect()
-        }
-        Stack::Rubin => {
-            let ts = RubinTransport::build_group(
-                &mut sim,
-                &net,
-                &nodes,
-                RnicModel::mt27520(),
-                RubinConfig::paper(),
-            );
-            sim.run_until_idle();
-            ts.into_iter()
-                .map(|t| Rc::new(t) as Rc<dyn Transport>)
-                .collect()
-        }
-    };
+    let transports = stack.build(&mut sim, &net, &hosts);
 
     let _replicas: Vec<Replica> = (0..n)
         .map(|i| {
@@ -282,23 +220,7 @@ pub fn state_transfer_instrumented(seed: u64) -> simnet::MetricsSnapshot {
     };
     let n = cfg.n;
     let (mut sim, net, hosts) = TestBed::cluster(seed, n + 1);
-    let nodes: Vec<(u32, simnet::HostId, CoreId)> = hosts
-        .iter()
-        .enumerate()
-        .map(|(i, &h)| (i as u32, h, CoreId(0)))
-        .collect();
-    let transports = RubinTransport::build_group(
-        &mut sim,
-        &net,
-        &nodes,
-        RnicModel::mt27520(),
-        RubinConfig::paper(),
-    );
-    sim.run_until_idle();
-    let transports: Vec<Rc<dyn Transport>> = transports
-        .into_iter()
-        .map(|t| Rc::new(t) as Rc<dyn Transport>)
-        .collect();
+    let transports = Stack::Rubin.build(&mut sim, &net, &hosts);
 
     let replicas: Vec<Replica> = (0..n)
         .map(|i| {
@@ -416,23 +338,7 @@ fn durable_restart_run(seed: u64, durability: Option<DurabilityConfig>) -> simne
     };
     let n = cfg.n;
     let (mut sim, net, hosts) = TestBed::cluster(seed, n + 1);
-    let nodes: Vec<(u32, simnet::HostId, CoreId)> = hosts
-        .iter()
-        .enumerate()
-        .map(|(i, &h)| (i as u32, h, CoreId(0)))
-        .collect();
-    let transports = RubinTransport::build_group(
-        &mut sim,
-        &net,
-        &nodes,
-        RnicModel::mt27520(),
-        RubinConfig::paper(),
-    );
-    sim.run_until_idle();
-    let transports: Vec<Rc<dyn Transport>> = transports
-        .into_iter()
-        .map(|t| Rc::new(t) as Rc<dyn Transport>)
-        .collect();
+    let transports = Stack::Rubin.build(&mut sim, &net, &hosts);
 
     let replicas: Vec<Replica> = (0..n)
         .map(|i| {
@@ -542,23 +448,7 @@ pub fn recovery_epoch_drill_instrumented(seed: u64) -> simnet::MetricsSnapshot {
     };
     let n = cfg.n;
     let (mut sim, net, hosts) = TestBed::cluster(seed, n + 1);
-    let nodes: Vec<(u32, simnet::HostId, CoreId)> = hosts
-        .iter()
-        .enumerate()
-        .map(|(i, &h)| (i as u32, h, CoreId(0)))
-        .collect();
-    let transports = RubinTransport::build_group(
-        &mut sim,
-        &net,
-        &nodes,
-        RnicModel::mt27520(),
-        RubinConfig::paper(),
-    );
-    sim.run_until_idle();
-    let transports: Vec<Rc<dyn Transport>> = transports
-        .into_iter()
-        .map(|t| Rc::new(t) as Rc<dyn Transport>)
-        .collect();
+    let transports = Stack::Rubin.build(&mut sim, &net, &hosts);
 
     let replicas: Vec<Replica> = (0..n)
         .map(|i| {

@@ -1,49 +1,19 @@
 //! A deterministic test harness: a replicated KV group plus a fleet of
 //! [`KvClient`]s under a YCSB-style closed-loop driver.
 //!
-//! Mirrors the bench crate's replicated-system builder (same stacks, same
-//! host/transport models) but with [`KvStoreService`] replicas, leases
-//! armed, and clients that record full operation histories for the
+//! Builds its group with [`reptor::Stack::build`], like the bench crate's
+//! replicated system, but with [`KvStoreService`] replicas, leases armed,
+//! and clients that record full operation histories for the
 //! linearizability checker.
 
-use std::rc::Rc;
-
-use rdma_verbs::RnicModel;
-use reptor::{
-    Client, NioTransport, Replica, ReptorConfig, RubinTransport, SimTransport, Transport,
-    DOMAIN_SECRET,
-};
-use rubin::RubinConfig;
-use simnet::{CoreId, HostId, Network, Simulator, TestBed};
-use simnet_socket::TcpModel;
+pub use reptor::Stack;
+use reptor::{Client, Replica, ReptorConfig, DOMAIN_SECRET};
+use simnet::{Network, Simulator, TestBed};
 
 use crate::client::KvClient;
 use crate::lin::{check_linearizable, KvEvent, KvHistOp};
 use crate::service::KvStoreService;
 use crate::workload::{ClientWorkload, YcsbSpec};
-
-/// Which comm stack the group runs on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Stack {
-    /// Direct fabric delivery; no one-sided read path (message-path
-    /// reads only — the fallback baseline).
-    Direct,
-    /// Java-NIO-style TCP stack; also message-path only.
-    Nio,
-    /// RUBIN RDMA stack: one-sided reads available.
-    Rubin,
-}
-
-impl Stack {
-    /// Display label.
-    pub fn label(self) -> &'static str {
-        match self {
-            Stack::Direct => "Direct",
-            Stack::Nio => "TCP (NIO)",
-            Stack::Rubin => "RDMA (Rubin)",
-        }
-    }
-}
 
 /// The default replica-group configuration for KV runs: the standard
 /// 4-replica small() group with read leases armed.
@@ -79,41 +49,7 @@ impl KvHarness {
     ) -> KvHarness {
         let n = cfg.n;
         let (mut sim, net, hosts) = TestBed::cluster(seed, n + num_clients);
-        let nodes: Vec<(u32, HostId, CoreId)> = hosts
-            .iter()
-            .enumerate()
-            .map(|(i, &h)| (i as u32, h, CoreId(0)))
-            .collect();
-
-        let transports: Vec<Rc<dyn Transport>> = match stack {
-            Stack::Direct => {
-                let pairs: Vec<(u32, HostId)> = nodes.iter().map(|&(n, h, _)| (n, h)).collect();
-                SimTransport::build_group(&net, &pairs)
-                    .into_iter()
-                    .map(|t| Rc::new(t) as Rc<dyn Transport>)
-                    .collect()
-            }
-            Stack::Nio => {
-                let ts = NioTransport::build_group(&mut sim, &net, &nodes, TcpModel::linux_xeon());
-                sim.run_until_idle();
-                ts.into_iter()
-                    .map(|t| Rc::new(t) as Rc<dyn Transport>)
-                    .collect()
-            }
-            Stack::Rubin => {
-                let ts = RubinTransport::build_group(
-                    &mut sim,
-                    &net,
-                    &nodes,
-                    RnicModel::mt27520(),
-                    RubinConfig::paper(),
-                );
-                sim.run_until_idle();
-                ts.into_iter()
-                    .map(|t| Rc::new(t) as Rc<dyn Transport>)
-                    .collect()
-            }
-        };
+        let transports = stack.build(&mut sim, &net, &hosts);
 
         let replicas: Vec<Replica> = (0..n)
             .map(|i| {

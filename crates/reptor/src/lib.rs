@@ -42,6 +42,7 @@ mod codec;
 mod config;
 mod durability;
 mod executor;
+mod mesh;
 mod messages;
 mod nio_transport;
 mod pipeline;
@@ -75,7 +76,7 @@ pub use state_transfer::{
 };
 pub use transport::{
     DeliveryFn, LaneDeliveryFn, NodeId, SimTransport, SlotDoorbellFn, SlotRegion, SlotWriteFn,
-    StateReadFn, Transport,
+    Stack, StateReadFn, Transport,
 };
 
 #[cfg(test)]

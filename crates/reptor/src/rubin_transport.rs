@@ -4,83 +4,56 @@
 //! selector and channels (paper §IV: "We integrated RUBIN into Reptor,
 //! where it replaces the Java NIO selector and socket channel"). Because
 //! RUBIN channels are message-oriented, no length framing is needed; the
-//! first message on every channel is a hello carrying the sender's node id.
+//! first message on every dialed channel is a hello carrying the sender's
+//! node id.
 //!
-//! Failure recovery: when a channel breaks (queue-pair retry exhaustion,
-//! peer crash, connection rejection), the side that originally dialed —
-//! the higher node id — re-dials with exponential backoff, while the other
-//! side parks outgoing messages until the replacement connection and its
-//! hello arrive. Queued output survives the swap; messages that were
-//! in flight on the dead queue pair are lost, which the BFT layer above
-//! already tolerates (it re-sends during view changes and client retries).
+//! Failure recovery — peer slots, hello remap, holding pen, backoff
+//! re-dial — is the shared session layer of [`crate::mesh`], the same code
+//! the NIO stack runs; this file keeps only the channel code. RDMA
+//! connection management has no timeout of its own, so a re-dial that
+//! never establishes is abandoned after [`CONNECT_ATTEMPT_TIMEOUT`]. The
+//! one-sided region methods (checkpoint-store reads, fast-path slot
+//! writes) are RUBIN-only.
 
-use std::cell::RefCell;
-use std::collections::{HashMap, VecDeque};
-use std::fmt;
+use std::cell::RefMut;
+use std::collections::HashMap;
 use std::rc::Rc;
 
 use rdma_verbs::{Access, MemoryRegion, ProtectionDomain, RdmaDevice, RnicModel};
 use rubin::{
     Interest, RdmaChannel, RdmaSelector, RdmaServerChannel, RecvOutcome, RubinConfig, RubinKey,
+    SelectedKey,
 };
 use simnet::{Addr, CoreId, HostId, Nanos, Network, Simulator};
 
+use crate::mesh::{Link, Mesh, Slot, Wake};
 use crate::state_transfer::StateOffer;
 use crate::transport::{
-    DeliveryFn, NodeId, SlotDoorbellFn, SlotRegion, SlotWriteFn, StateReadFn, Transport,
+    DeliveryFn, LaneDeliveryFn, NodeId, SlotDoorbellFn, SlotRegion, SlotWriteFn, StateReadFn,
+    Transport,
 };
 
 /// Base port for RUBIN transport server channels.
 const RUBIN_PORT_BASE: u32 = 1100;
-
-/// First re-dial delay after a channel failure; doubles per consecutive
-/// failed attempt.
-const RECONNECT_BASE: Nanos = Nanos::from_millis(2);
-
-/// Cap on the backoff doubling: delay = base << min(attempts, CAP_SHIFT).
-const RECONNECT_CAP_SHIFT: u32 = 5;
 
 /// How long a re-dial may sit unestablished before it is abandoned. RDMA
 /// connection management has no timeout of its own — a ConnRequest lost to
 /// a crashed host would otherwise hang the dialer forever.
 const CONNECT_ATTEMPT_TIMEOUT: Nanos = Nanos::from_millis(20);
 
-/// Maximum messages held for a peer whose channel is down or still
-/// connecting. Large enough to ride over a reconnect round-trip, small
-/// enough that a long outage cannot grow unbounded queues at healthy
-/// peers — a revived replica recovers truncated history through
-/// checkpoint state transfer instead of replay.
-const PEN_CAP: usize = 16;
-
-struct PeerChan {
-    channel: RdmaChannel,
-    key: RubinKey,
-    /// Messages waiting for establishment or send-buffer space.
-    outq: VecDeque<Vec<u8>>,
-    /// Peer id, once known (outbound: immediately; inbound: after hello).
-    peer: Option<NodeId>,
-    hello_sent: bool,
-    /// Channel failed; slot is retired (its selector key is cancelled) but
-    /// kept in place so `by_node` indices stay stable and its `outq` can be
-    /// carried over to the replacement channel.
-    dead: bool,
-    /// This channel is a reconnect attempt (not an initial mesh dial).
-    redial: bool,
+/// A full-mesh, RDMA-selector-driven transport endpoint.
+#[derive(Clone, Debug)]
+pub struct RubinTransport {
+    mesh: Mesh<RubinLink>,
 }
 
-struct RubinInner {
-    node: NodeId,
+/// The RDMA side of one endpoint.
+struct RubinLink {
     device: RdmaDevice,
     core: CoreId,
     cfg: RubinConfig,
     selector: RdmaSelector,
     server: RdmaServerChannel,
-    chans: Vec<PeerChan>,
-    by_node: HashMap<NodeId, usize>,
-    /// Host of every group member, for re-dialing after a failure.
-    directory: HashMap<NodeId, HostId>,
-    /// Consecutive failed re-dial attempts per peer (drives the backoff).
-    redial_attempts: HashMap<NodeId, u32>,
     /// Protection domain holding checkpoint-store regions. Allocated on
     /// first registration; MRs are validated per-rkey, not per-domain, so
     /// any peer queue pair can READ them.
@@ -95,35 +68,12 @@ struct RubinInner {
     /// Installed fast-path doorbell, rung when a peer WRITEs into one of
     /// our slot regions.
     slot_doorbell: Option<SlotDoorbellFn>,
-    delivery: Option<DeliveryFn>,
-    msgs_sent: u64,
-    msgs_delivered: u64,
-    reconnect_attempts: u64,
-    reconnects_completed: u64,
-}
-
-/// A full-mesh, RDMA-selector-driven transport endpoint.
-#[derive(Clone)]
-pub struct RubinTransport {
-    inner: Rc<RefCell<RubinInner>>,
-}
-
-impl fmt::Debug for RubinTransport {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let inner = self.inner.borrow();
-        f.debug_struct("RubinTransport")
-            .field("node", &inner.node)
-            .field("chans", &inner.chans.len())
-            .field("sent", &inner.msgs_sent)
-            .field("delivered", &inner.msgs_delivered)
-            .finish()
-    }
 }
 
 impl RubinTransport {
     /// The shared metrics registry of the fabric this endpoint runs on.
     pub fn metrics(&self) -> simnet::Metrics {
-        self.inner.borrow().device.net().metrics()
+        self.mesh.metrics()
     }
 
     /// Builds a fully meshed group over RUBIN channels. Run the simulator
@@ -135,588 +85,255 @@ impl RubinTransport {
         rnic: RnicModel,
         cfg: RubinConfig,
     ) -> Vec<RubinTransport> {
-        let transports: Vec<RubinTransport> = nodes
-            .iter()
-            .map(|&(node, host, core)| {
-                let device = RdmaDevice::open(net, host, rnic.clone());
-                let selector = RdmaSelector::new(&device, core, cfg.select_ns);
-                let server =
-                    RdmaServerChannel::bind(&device, RUBIN_PORT_BASE + node, cfg.clone(), core)
-                        .expect("transport port free");
-                RubinTransport {
-                    inner: Rc::new(RefCell::new(RubinInner {
-                        node,
-                        device,
-                        core,
-                        cfg: cfg.clone(),
-                        selector,
-                        server,
-                        chans: Vec::new(),
-                        by_node: HashMap::new(),
-                        directory: nodes.iter().map(|&(n, h, _)| (n, h)).collect(),
-                        redial_attempts: HashMap::new(),
-                        state_pd: None,
-                        state_regions: HashMap::new(),
-                        slot_regions: HashMap::new(),
-                        slot_doorbell: None,
-                        delivery: None,
-                        msgs_sent: 0,
-                        msgs_delivered: 0,
-                        reconnect_attempts: 0,
-                        reconnects_completed: 0,
-                    })),
-                }
-            })
-            .collect();
-        // Register servers with the selectors and start the reactors.
-        for t in &transports {
-            {
-                let inner = t.inner.borrow();
-                inner.selector.register_server(sim, &inner.server);
+        Mesh::build_group(sim, nodes, &net.metrics(), |node, host, core| {
+            let device = RdmaDevice::open(net, host, rnic.clone());
+            let selector = RdmaSelector::new(&device, core, cfg.select_ns);
+            let server =
+                RdmaServerChannel::bind(&device, RUBIN_PORT_BASE + node, cfg.clone(), core)
+                    .expect("transport port free");
+            RubinLink {
+                device,
+                core,
+                cfg: cfg.clone(),
+                selector,
+                server,
+                state_pd: None,
+                state_regions: HashMap::new(),
+                slot_regions: HashMap::new(),
+                slot_doorbell: None,
             }
-            t.pump(sim);
+        })
+        .into_iter()
+        .map(|mesh| RubinTransport { mesh })
+        .collect()
+    }
+
+    fn link(&self) -> RefMut<'_, RubinLink> {
+        RefMut::map(self.mesh.inner.borrow_mut(), |inner| &mut inner.link)
+    }
+}
+
+impl Link for RubinLink {
+    type Conn = RdmaChannel;
+    type Key = RubinKey;
+    /// Whether this end's hello is out (accepted channels send none).
+    type Io = bool;
+    type Event = SelectedKey;
+
+    const METRIC_PREFIX: &'static str = "rubin_transport";
+    const DOWN_COUNTER: &'static str = "channels_down";
+    const TRACE_STACK: &'static str = "rubin";
+    const TRACE_CONN: &'static str = "channel";
+
+    fn listen(&mut self, sim: &mut Simulator) {
+        self.selector.register_server(sim, &self.server);
+    }
+
+    fn select(
+        &self,
+        sim: &mut Simulator,
+        f: impl FnOnce(&mut Simulator, Vec<SelectedKey>) + 'static,
+    ) {
+        self.selector.select(sim, f);
+    }
+
+    fn wake(&self, ev: &SelectedKey) -> Option<Wake<RubinKey>> {
+        if ev.ready.contains(Interest::OP_CONNECT) {
+            return Some(Wake::Accept);
         }
-        // Dial: node at index i connects to every earlier node.
-        for (idx, _) in nodes.iter().enumerate() {
-            for &(peer, peer_host, _pcore) in &nodes[..idx] {
-                let t = &transports[idx];
-                let remote = Addr::new(peer_host, RUBIN_PORT_BASE + peer);
-                let (channel, key) = {
-                    let inner = t.inner.borrow();
-                    let channel = RdmaChannel::connect(
-                        sim,
-                        &inner.device,
-                        remote,
-                        inner.cfg.clone(),
-                        inner.core,
-                    )
-                    .expect("connect initiation succeeds");
-                    let key = inner.selector.register_channel(
-                        sim,
-                        &channel,
-                        Interest::OP_ACCEPT | Interest::OP_RECEIVE,
-                    );
-                    (channel, key)
+        Some(Wake::Conn {
+            key: ev.key,
+            connect: ev.ready.contains(Interest::OP_ACCEPT),
+            read: ev.ready.contains(Interest::OP_RECEIVE),
+            write: ev.ready.contains(Interest::OP_SEND),
+        })
+    }
+
+    fn accept(mesh: &Mesh<Self>, sim: &mut Simulator) -> Option<(RdmaChannel, RubinKey, bool)> {
+        let (channel, key) = {
+            let inner = mesh.inner.borrow();
+            let Ok(Some(channel)) = inner.link.server.accept(sim) else {
+                return None;
+            };
+            let key = inner
+                .link
+                .selector
+                .register_channel(sim, &channel, Interest::OP_RECEIVE);
+            (channel, key)
+        };
+        install_doorbell(mesh, &channel);
+        Some((channel, key, true)) // server side sends no hello
+    }
+
+    fn dial(
+        mesh: &Mesh<Self>,
+        sim: &mut Simulator,
+        peer: NodeId,
+        host: HostId,
+    ) -> Option<(RdmaChannel, RubinKey, bool)> {
+        let (channel, key) = {
+            let inner = mesh.inner.borrow();
+            let l = &inner.link;
+            let remote = Addr::new(host, RUBIN_PORT_BASE + peer);
+            let channel =
+                RdmaChannel::connect(sim, &l.device, remote, l.cfg.clone(), l.core).ok()?;
+            let interest = Interest::OP_ACCEPT | Interest::OP_RECEIVE;
+            let key = l.selector.register_channel(sim, &channel, interest);
+            (channel, key)
+        };
+        install_doorbell(mesh, &channel);
+        Some((channel, key, false))
+    }
+
+    fn redialed(mesh: &Mesh<Self>, sim: &mut Simulator, slot: usize, peer: NodeId) {
+        // RDMA CM never times out on its own; if the ConnRequest (or the
+        // reply) is lost, only this timer gets the dialer unstuck.
+        let m = mesh.clone();
+        sim.schedule_in(
+            CONNECT_ATTEMPT_TIMEOUT,
+            Box::new(move |sim| {
+                let pending = {
+                    let inner = m.inner.borrow();
+                    let s = &inner.slots[slot];
+                    // Neither superseded by a newer channel, nor already
+                    // failed (and rescheduled) or succeeded.
+                    inner.by_node.get(&peer) == Some(&slot) && !s.dead && !s.conn.is_established()
                 };
-                t.install_doorbell(&channel);
-                let mut inner = t.inner.borrow_mut();
-                let slot = inner.chans.len();
-                inner.chans.push(PeerChan {
-                    channel,
-                    key,
-                    outq: VecDeque::new(),
-                    peer: Some(peer),
-                    hello_sent: false,
-                    dead: false,
-                    redial: false,
-                });
-                inner.by_node.insert(peer, slot);
-            }
-        }
-        transports
+                if pending {
+                    m.down(sim, slot);
+                }
+            }),
+        );
     }
 
-    /// Messages delivered to this endpoint.
-    pub fn delivered_count(&self) -> u64 {
-        self.inner.borrow().msgs_delivered
+    fn finish_connect(mesh: &Mesh<Self>, sim: &mut Simulator, slot: usize) -> bool {
+        let channel = mesh.inner.borrow().slots[slot].conn.clone();
+        channel.finish_connect(sim)
     }
 
-    /// Re-dial attempts made after channel failures.
-    pub fn reconnect_attempts(&self) -> u64 {
-        self.inner.borrow().reconnect_attempts
-    }
-
-    /// Re-dials that reached establishment.
-    pub fn reconnects_completed(&self) -> u64 {
-        self.inner.borrow().reconnects_completed
-    }
-
-    /// Select calls performed by this endpoint's selector.
-    pub fn selects_performed(&self) -> u64 {
-        self.inner.borrow().selector.selects_performed()
-    }
-
-    /// Hybrid-queue events observed by this endpoint's selector.
-    pub fn hybrid_events(&self) -> u64 {
-        self.inner.borrow().selector.hybrid_events_total()
-    }
-
-    /// Diagnostic dump of the selector's keys.
-    pub fn debug_keys(&self) -> String {
-        self.inner.borrow().selector.debug_keys()
-    }
-
-    /// Diagnostic dump of per-channel state.
-    pub fn debug_channels(&self) -> String {
-        let inner = self.inner.borrow();
-        inner
-            .chans
-            .iter()
-            .map(|c| {
-                let s = c.channel.stats();
-                format!(
-                    "[peer={:?} hello={} outq={} dead={} tx={} rx={} stalls={} chan={:?}]",
-                    c.peer,
-                    c.hello_sent,
-                    c.outq.len(),
-                    c.dead,
-                    s.msgs_sent,
-                    s.msgs_received,
-                    s.send_stalls,
-                    c.channel
-                )
-            })
-            .collect::<Vec<_>>()
-            .join(" ")
-    }
-
-    /// The reactor: parks a select and handles whatever becomes ready.
-    fn pump(&self, sim: &mut Simulator) {
-        let selector = self.inner.borrow().selector.clone();
-        let t = self.clone();
-        selector.select(sim, move |sim, ready| {
-            for ev in ready {
-                t.handle_event(sim, ev.key, ev.ready);
-            }
-            t.pump(sim);
-        });
-    }
-
-    fn handle_event(&self, sim: &mut Simulator, key: RubinKey, ready: Interest) {
-        if ready.contains(Interest::OP_CONNECT) {
-            self.handle_accept(sim);
-            return;
-        }
-        let slot = {
-            let inner = self.inner.borrow();
-            inner.chans.iter().position(|c| c.key == key)
-        };
-        let Some(slot) = slot else { return };
-        if ready.contains(Interest::OP_ACCEPT) {
-            self.handle_established(sim, slot);
-        }
-        if ready.contains(Interest::OP_RECEIVE) {
-            self.handle_receivable(sim, slot);
-        }
-        if ready.contains(Interest::OP_SEND) {
-            self.flush(sim, slot);
-        }
-    }
-
-    fn handle_accept(&self, sim: &mut Simulator) {
+    fn read(mesh: &Mesh<Self>, sim: &mut Simulator, slot: usize) {
+        let channel = mesh.inner.borrow().slots[slot].conn.clone();
         loop {
-            let accepted = {
-                let inner = self.inner.borrow();
-                inner.server.accept(sim)
-            };
-            let Ok(Some(channel)) = accepted else { break };
-            let key = {
-                let inner = self.inner.borrow();
-                inner
-                    .selector
-                    .register_channel(sim, &channel, Interest::OP_RECEIVE)
-            };
-            self.install_doorbell(&channel);
-            let mut inner = self.inner.borrow_mut();
-            inner.chans.push(PeerChan {
-                channel,
-                key,
-                outq: VecDeque::new(),
-                peer: None,
-                hello_sent: true, // server side sends no hello
-                dead: false,
-                redial: false,
-            });
-        }
-    }
-
-    fn handle_established(&self, sim: &mut Simulator, slot: usize) {
-        let channel = self.inner.borrow().chans[slot].channel.clone();
-        if !channel.finish_connect(sim) {
-            return;
-        }
-        // A completed re-dial resets the peer's backoff.
-        let metrics = {
-            let mut inner = self.inner.borrow_mut();
-            let c = &inner.chans[slot];
-            if c.redial {
-                let peer = c.peer.expect("re-dials always know their peer");
-                inner.redial_attempts.remove(&peer);
-                inner.reconnects_completed += 1;
-                Some((inner.device.net().metrics(), inner.node))
-            } else {
-                None
-            }
-        };
-        if let Some((m, node)) = metrics {
-            m.incr(&format!("rubin_transport.{node}.reconnects_completed"));
-            m.trace(
-                sim.now(),
-                "transport",
-                format!("rubin reconnect up slot={slot}"),
-            );
-        }
-        self.flush(sim, slot);
-    }
-
-    fn handle_receivable(&self, sim: &mut Simulator, slot: usize) {
-        loop {
-            let outcome = {
-                let inner = self.inner.borrow();
-                inner.chans[slot].channel.read(sim)
-            };
-            match outcome {
-                Ok(RecvOutcome::Msg(body)) => self.handle_message(sim, slot, body),
+            match channel.read(sim) {
+                Ok(RecvOutcome::Msg(body)) => mesh.receive(sim, slot, body),
                 Ok(RecvOutcome::WouldBlock) => break,
                 Ok(RecvOutcome::Eof) | Err(_) => {
-                    self.on_channel_down(sim, slot);
+                    mesh.down(sim, slot);
                     break;
                 }
             }
         }
     }
 
-    fn handle_message(&self, sim: &mut Simulator, slot: usize, body: Vec<u8>) {
-        let (peer, delivery) = {
-            let mut inner = self.inner.borrow_mut();
-            match inner.chans[slot].peer {
-                Some(p) => {
-                    inner.msgs_delivered += 1;
-                    (p, inner.delivery.clone())
-                }
-                None => {
-                    // First message: the hello.
-                    if body.len() == 4 {
-                        let peer = u32::from_le_bytes(body.try_into().expect("4 bytes"));
-                        inner.chans[slot].peer = Some(peer);
-                        // A hello from an already-known peer means it
-                        // reconnected: retire the stale channel and carry
-                        // its queued output over to this one.
-                        if let Some(&old) = inner.by_node.get(&peer) {
-                            if old != slot {
-                                let outq = std::mem::take(&mut inner.chans[old].outq);
-                                inner.chans[old].dead = true;
-                                let old_key = inner.chans[old].key;
-                                inner.selector.cancel(old_key);
-                                inner.chans[slot].outq = outq;
-                            }
-                        }
-                        inner.by_node.insert(peer, slot);
-                        drop(inner);
-                        // The carried-over queue may have pending messages.
-                        self.flush(sim, slot);
-                    }
-                    return;
-                }
-            }
+    fn flush(mesh: &Mesh<Self>, sim: &mut Simulator, slot: usize) {
+        let (channel, dead, hello_sent, node) = {
+            let inner = mesh.inner.borrow();
+            let s = &inner.slots[slot];
+            (s.conn.clone(), s.dead, s.io, inner.node)
         };
-        if let Some(cb) = delivery {
-            cb(sim, peer, body);
-        }
-    }
-
-    /// Retires a failed channel and, if this endpoint is the dialing side
-    /// for that peer, schedules a re-dial with exponential backoff.
-    ///
-    /// Mirrors [`build_group`](RubinTransport::build_group)'s mesh
-    /// direction: the higher-id node dials, so only it re-dials; the
-    /// lower-id side keeps the dead slot as a holding pen for queued
-    /// output until the peer's replacement connection arrives.
-    fn on_channel_down(&self, sim: &mut Simulator, slot: usize) {
-        let (peer, node, metrics) = {
-            let mut inner = self.inner.borrow_mut();
-            if inner.chans[slot].dead {
-                return;
-            }
-            inner.chans[slot].dead = true;
-            // The slot becomes a holding pen: shed everything but the
-            // newest PEN_CAP messages now, so a long outage hands the
-            // replacement channel recent traffic rather than stale
-            // history (recovered by catch-up/state transfer instead).
-            let shed = inner.chans[slot].outq.len().saturating_sub(PEN_CAP);
-            inner.chans[slot].outq.drain(..shed);
-            let key = inner.chans[slot].key;
-            inner.selector.cancel(key);
-            if shed > 0 {
-                let node = inner.node;
-                inner
-                    .device
-                    .net()
-                    .metrics()
-                    .incr_by(&format!("rubin_transport.{node}.pen_dropped"), shed as u64);
-            }
-            (
-                inner.chans[slot].peer,
-                inner.node,
-                inner.device.net().metrics(),
-            )
-        };
-        metrics.incr(&format!("rubin_transport.{node}.channels_down"));
-        metrics.trace(
-            sim.now(),
-            "transport",
-            format!("rubin channel down slot={slot} peer={peer:?}"),
-        );
-        let Some(peer) = peer else {
-            return; // anonymous inbound channel that never said hello
-        };
-        // Only act if this slot is still the peer's current channel (a
-        // replacement may already have been wired in via hello remap).
-        if self.inner.borrow().by_node.get(&peer) != Some(&slot) {
-            return;
-        }
-        if node > peer {
-            self.schedule_redial(sim, peer);
-        }
-    }
-
-    /// Schedules the next connection attempt towards `peer`, delayed by
-    /// exponential backoff over the consecutive-failure count.
-    fn schedule_redial(&self, sim: &mut Simulator, peer: NodeId) {
-        let delay = {
-            let inner = self.inner.borrow();
-            let attempts = inner.redial_attempts.get(&peer).copied().unwrap_or(0);
-            Nanos::from_nanos(RECONNECT_BASE.as_nanos() << attempts.min(RECONNECT_CAP_SHIFT))
-        };
-        let t = self.clone();
-        sim.schedule_in(
-            delay,
-            Box::new(move |sim| {
-                t.redial_fire(sim, peer);
-            }),
-        );
-    }
-
-    /// Opens a replacement channel towards `peer`, carrying over the dead
-    /// slot's queued output, and arms the attempt timeout.
-    fn redial_fire(&self, sim: &mut Simulator, peer: NodeId) {
-        let (device, cfg, core, remote, outq, node, metrics) = {
-            let mut inner = self.inner.borrow_mut();
-            // Already reconnected (or re-dial already in flight): nothing
-            // to do.
-            if let Some(&slot) = inner.by_node.get(&peer) {
-                if !inner.chans[slot].dead {
-                    return;
-                }
-            }
-            let Some(&host) = inner.directory.get(&peer) else {
-                return;
-            };
-            *inner.redial_attempts.entry(peer).or_insert(0) += 1;
-            inner.reconnect_attempts += 1;
-            let outq = match inner.by_node.get(&peer) {
-                Some(&slot) => std::mem::take(&mut inner.chans[slot].outq),
-                None => VecDeque::new(),
-            };
-            (
-                inner.device.clone(),
-                inner.cfg.clone(),
-                inner.core,
-                Addr::new(host, RUBIN_PORT_BASE + peer),
-                outq,
-                inner.node,
-                inner.device.net().metrics(),
-            )
-        };
-        metrics.incr(&format!("rubin_transport.{node}.reconnect_attempts"));
-        let chan = RdmaChannel::connect(sim, &device, remote, cfg, core);
-        let Ok(channel) = chan else {
-            // Could not even initiate (e.g. resource exhaustion): put the
-            // queue back and back off again.
-            let mut inner = self.inner.borrow_mut();
-            if let Some(&slot) = inner.by_node.get(&peer) {
-                inner.chans[slot].outq = outq;
-            }
-            drop(inner);
-            self.schedule_redial(sim, peer);
-            return;
-        };
-        let key = {
-            let inner = self.inner.borrow();
-            inner.selector.register_channel(
-                sim,
-                &channel,
-                Interest::OP_ACCEPT | Interest::OP_RECEIVE,
-            )
-        };
-        self.install_doorbell(&channel);
-        let slot = {
-            let mut inner = self.inner.borrow_mut();
-            let slot = inner.chans.len();
-            inner.chans.push(PeerChan {
-                channel,
-                key,
-                outq,
-                peer: Some(peer),
-                hello_sent: false,
-                dead: false,
-                redial: true,
-            });
-            inner.by_node.insert(peer, slot);
-            slot
-        };
-        // RDMA CM never times out on its own; if the ConnRequest (or the
-        // reply) is lost, only this timer gets the dialer unstuck.
-        let t = self.clone();
-        sim.schedule_in(
-            CONNECT_ATTEMPT_TIMEOUT,
-            Box::new(move |sim| {
-                t.attempt_timeout_fire(sim, slot, peer);
-            }),
-        );
-    }
-
-    /// Abandons a re-dial that never established within the timeout.
-    fn attempt_timeout_fire(&self, sim: &mut Simulator, slot: usize, peer: NodeId) {
-        {
-            let inner = self.inner.borrow();
-            if inner.by_node.get(&peer) != Some(&slot) {
-                return; // superseded by a newer channel
-            }
-            let c = &inner.chans[slot];
-            if c.dead || c.channel.is_established() {
-                return; // already failed (and rescheduled) or succeeded
-            }
-        }
-        self.on_channel_down(sim, slot);
-    }
-
-    fn flush(&self, sim: &mut Simulator, slot: usize) {
-        if self.inner.borrow().chans[slot].dead {
+        if dead {
             return;
         }
         // Hello goes out first on outbound channels.
-        let need_hello = {
-            let inner = self.inner.borrow();
-            let c = &inner.chans[slot];
-            !c.hello_sent && c.channel.is_established()
-        };
-        if need_hello {
-            let (channel, node) = {
-                let inner = self.inner.borrow();
-                (inner.chans[slot].channel.clone(), inner.node)
-            };
+        if !hello_sent && channel.is_established() {
             if matches!(channel.write(sim, &node.to_le_bytes()), Ok(true)) {
-                self.inner.borrow_mut().chans[slot].hello_sent = true;
+                mesh.inner.borrow_mut().slots[slot].io = true;
             } else {
-                self.update_interest(sim, slot);
+                update_interest(mesh, sim, slot);
                 return; // retry on next OP_SEND
             }
         }
         loop {
-            let (channel, msg) = {
-                let inner = self.inner.borrow();
-                let c = &inner.chans[slot];
-                if c.outq.is_empty() || !c.channel.is_established() || !c.hello_sent {
+            let msg = {
+                let inner = mesh.inner.borrow();
+                let s = &inner.slots[slot];
+                if s.outq.is_empty() || !channel.is_established() || !s.io {
                     break;
                 }
-                (
-                    c.channel.clone(),
-                    c.outq.front().cloned().expect("nonempty"),
-                )
+                s.outq.front().cloned().expect("nonempty")
             };
             match channel.write(sim, &msg) {
                 Ok(true) => {
-                    self.inner.borrow_mut().chans[slot].outq.pop_front();
+                    mesh.inner.borrow_mut().slots[slot].outq.pop_front();
                 }
                 Ok(false) | Err(_) => break, // OP_SEND will fire on space
             }
         }
-        self.update_interest(sim, slot);
+        update_interest(mesh, sim, slot);
     }
 
-    /// Installs the fast-path doorbell on a freshly created channel. The
-    /// per-channel closure resolves this transport's installed handler and
-    /// the channel's peer id at ring time, so it is safe to install before
-    /// either is known (accept-side channels learn their peer only after
-    /// the hello; the handler arrives with `set_slot_doorbell`).
-    fn install_doorbell(&self, channel: &RdmaChannel) {
-        let t = self.clone();
-        let qp_num = channel.qp().num();
-        channel.set_write_doorbell(Rc::new(move |sim, imm, len| {
-            let (peer, db) = {
-                let inner = t.inner.borrow();
-                let peer = inner
-                    .chans
-                    .iter()
-                    .find(|c| c.channel.qp().num() == qp_num)
-                    .and_then(|c| c.peer);
-                (peer, inner.slot_doorbell.clone())
-            };
-            if let (Some(peer), Some(db)) = (peer, db) {
-                db(sim, peer, imm, len);
-            }
-        }));
+    fn is_established(channel: &RdmaChannel) -> bool {
+        channel.is_established()
     }
 
-    /// OP_SEND readiness is level-triggered (send buffers are almost
-    /// always available), so the reactor only subscribes to it while
-    /// output is actually pending.
-    fn update_interest(&self, sim: &mut Simulator, slot: usize) {
-        let (selector, key, interest) = {
-            let inner = self.inner.borrow();
-            let c = &inner.chans[slot];
-            if c.dead {
-                return; // key is cancelled; leave it alone
-            }
-            let established = c.channel.is_established();
-            let mut want = Interest::OP_RECEIVE;
-            if !established {
-                want |= Interest::OP_ACCEPT;
-            }
-            if established && (!c.hello_sent || !c.outq.is_empty()) {
-                want |= Interest::OP_SEND;
-            }
-            (inner.selector.clone(), c.key, want)
+    fn retire(&self, slot: &mut Slot<Self>) {
+        self.selector.cancel(slot.key);
+    }
+}
+
+/// Installs the fast-path doorbell on a freshly created channel. The
+/// per-channel closure resolves this endpoint's installed handler and the
+/// channel's peer id at ring time, so it is safe to install before either
+/// is known (accept-side channels learn their peer only after the hello;
+/// the handler arrives with `set_slot_doorbell`).
+fn install_doorbell(mesh: &Mesh<RubinLink>, channel: &RdmaChannel) {
+    let m = mesh.clone();
+    let qp_num = channel.qp().num();
+    channel.set_write_doorbell(Rc::new(move |sim, imm, len| {
+        let (peer, db) = {
+            let inner = m.inner.borrow();
+            let peer = inner
+                .slots
+                .iter()
+                .find(|s| s.conn.qp().num() == qp_num)
+                .and_then(|s| s.peer);
+            (peer, inner.link.slot_doorbell.clone())
         };
-        selector.set_interest(sim, key, interest);
-    }
+        if let (Some(peer), Some(db)) = (peer, db) {
+            db(sim, peer, imm, len);
+        }
+    }));
+}
+
+/// OP_SEND readiness is level-triggered (send buffers are almost always
+/// available), so the reactor only subscribes to it while output is
+/// actually pending.
+fn update_interest(mesh: &Mesh<RubinLink>, sim: &mut Simulator, slot: usize) {
+    let (selector, key, interest) = {
+        let inner = mesh.inner.borrow();
+        let s = &inner.slots[slot];
+        if s.dead {
+            return; // key is cancelled; leave it alone
+        }
+        let established = s.conn.is_established();
+        let mut want = Interest::OP_RECEIVE;
+        if !established {
+            want |= Interest::OP_ACCEPT;
+        }
+        if established && (!s.io || !s.outq.is_empty()) {
+            want |= Interest::OP_SEND;
+        }
+        (inner.link.selector.clone(), s.key, want)
+    };
+    selector.set_interest(sim, key, interest);
 }
 
 impl Transport for RubinTransport {
     fn node(&self) -> NodeId {
-        self.inner.borrow().node
+        self.mesh.node()
     }
 
     fn send(&self, sim: &mut Simulator, to: NodeId, msg: Vec<u8>) {
-        let slot = {
-            let mut inner = self.inner.borrow_mut();
-            inner.msgs_sent += 1;
-            inner.by_node.get(&to).copied()
-        };
-        let Some(slot) = slot else {
-            return; // no channel to that peer (yet): drop
-        };
-        {
-            let mut inner = self.inner.borrow_mut();
-            inner.chans[slot].outq.push_back(msg);
-            // A dead or still-connecting channel cannot drain; bound the
-            // holding pen by shedding the oldest message. The survivors are
-            // the newest traffic — recent checkpoints and votes — which is
-            // exactly what a peer coming back from a long outage can still
-            // use (older history is recovered by catch-up/state transfer,
-            // not by replay).
-            let draining = !inner.chans[slot].dead && inner.chans[slot].channel.is_established();
-            if !draining && inner.chans[slot].outq.len() > PEN_CAP {
-                inner.chans[slot].outq.pop_front();
-                let node = inner.node;
-                inner
-                    .device
-                    .net()
-                    .metrics()
-                    .incr(&format!("rubin_transport.{node}.pen_dropped"));
-            }
-        }
-        self.flush(sim, slot);
+        self.mesh.send(sim, to, msg);
     }
 
     fn set_delivery(&self, f: DeliveryFn) {
-        self.inner.borrow_mut().delivery = Some(f);
+        self.mesh.set_delivery(f);
     }
 
     fn register_state_region(&self, sim: &mut Simulator, bytes: &[u8]) -> Option<StateOffer> {
         let _ = sim;
-        let mut inner = self.inner.borrow_mut();
+        let mut inner = self.link();
         if inner.state_pd.is_none() {
             let pd = inner.device.alloc_pd();
             inner.state_pd = Some(pd);
@@ -742,13 +359,13 @@ impl Transport for RubinTransport {
     }
 
     fn release_state_region(&self, offer: &StateOffer) {
-        if let Some(mr) = self.inner.borrow_mut().state_regions.remove(&offer.rkey) {
+        if let Some(mr) = self.link().state_regions.remove(&offer.rkey) {
             mr.invalidate();
         }
     }
 
     fn write_state_region(&self, offer: &StateOffer, offset: u64, bytes: &[u8]) -> bool {
-        let inner = self.inner.borrow();
+        let inner = self.link();
         match inner.state_regions.get(&offer.rkey) {
             Some(mr) => mr.write(offset as usize, bytes).is_ok(),
             None => false,
@@ -764,23 +381,15 @@ impl Transport for RubinTransport {
         len: usize,
         done: StateReadFn,
     ) -> bool {
-        let channel = {
-            let inner = self.inner.borrow();
-            let Some(&slot) = inner.by_node.get(&peer) else {
-                return false;
-            };
-            let c = &inner.chans[slot];
-            if c.dead || !c.channel.is_established() {
-                return false;
-            }
-            c.channel.clone()
+        let Some(channel) = self.mesh.live_conn(peer) else {
+            return false;
         };
         channel.post_read(sim, rkey, offset, len, done).is_ok()
     }
 
     fn register_write_region(&self, sim: &mut Simulator, len: usize) -> Option<SlotRegion> {
         let _ = sim;
-        let mut inner = self.inner.borrow_mut();
+        let mut inner = self.link();
         if inner.state_pd.is_none() {
             let pd = inner.device.alloc_pd();
             inner.state_pd = Some(pd);
@@ -798,13 +407,13 @@ impl Transport for RubinTransport {
     fn release_write_region(&self, region: &SlotRegion) {
         // Invalidation is the PR 5 revocation fence: the rkey stays known
         // to the RNIC but any in-flight WRITE against it is denied.
-        if let Some(mr) = self.inner.borrow_mut().slot_regions.remove(&region.rkey) {
+        if let Some(mr) = self.link().slot_regions.remove(&region.rkey) {
             mr.invalidate();
         }
     }
 
     fn read_write_region(&self, region: &SlotRegion, offset: u64, len: usize) -> Option<Vec<u8>> {
-        let inner = self.inner.borrow();
+        let inner = self.link();
         let mr = inner.slot_regions.get(&region.rkey)?;
         mr.read(offset as usize, len).ok()
     }
@@ -819,16 +428,8 @@ impl Transport for RubinTransport {
         imm: u32,
         done: SlotWriteFn,
     ) -> bool {
-        let channel = {
-            let inner = self.inner.borrow();
-            let Some(&slot) = inner.by_node.get(&peer) else {
-                return false;
-            };
-            let c = &inner.chans[slot];
-            if c.dead || !c.channel.is_established() {
-                return false;
-            }
-            c.channel.clone()
+        let Some(channel) = self.mesh.live_conn(peer) else {
+            return false;
         };
         channel
             .post_write(sim, rkey, offset, data, imm, done)
@@ -836,18 +437,10 @@ impl Transport for RubinTransport {
     }
 
     fn set_slot_doorbell(&self, f: SlotDoorbellFn) {
-        self.inner.borrow_mut().slot_doorbell = Some(f);
+        self.link().slot_doorbell = Some(f);
     }
 
-    fn set_lane_delivery(&self, lanes: usize, f: crate::transport::LaneDeliveryFn) {
-        // Same demux rule as the default, plus per-lane delivery counters
-        // so benchmarks can see agreement traffic spreading over pipelines.
-        let metrics = self.metrics();
-        let node = self.node();
-        self.set_delivery(Rc::new(move |sim, from, bytes| {
-            let lane = crate::transport::wire_lane(&bytes, lanes);
-            metrics.incr(&format!("rubin_transport.{node}.lane{lane}_delivered"));
-            f(sim, lane, from, bytes);
-        }));
+    fn set_lane_delivery(&self, lanes: usize, f: LaneDeliveryFn) {
+        self.mesh.set_lane_delivery(lanes, f);
     }
 }

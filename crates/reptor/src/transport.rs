@@ -14,9 +14,13 @@ use std::cell::RefCell;
 use std::fmt;
 use std::rc::Rc;
 
-use simnet::{Addr, Frame, HostId, Network, Simulator};
+use rdma_verbs::RnicModel;
+use rubin::RubinConfig;
+use simnet::{Addr, CoreId, Frame, HostId, Network, Simulator};
+use simnet_socket::TcpModel;
 
 use crate::state_transfer::StateOffer;
+use crate::{NioTransport, RubinTransport};
 
 /// A node in the replica/client group.
 pub type NodeId = u32;
@@ -318,6 +322,70 @@ impl Transport for SimTransport {
 
     fn set_delivery(&self, f: DeliveryFn) {
         self.inner.borrow_mut().delivery = Some(f);
+    }
+}
+
+/// Which comm stack a replica group runs on.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Stack {
+    /// Direct fabric delivery with no comm-stack CPU model
+    /// ([`SimTransport`]); no one-sided path.
+    Direct,
+    /// The Java-NIO-style TCP stack ([`NioTransport`]); message path only.
+    Nio,
+    /// The RUBIN RDMA stack ([`RubinTransport`]): one-sided reads and
+    /// writes available.
+    Rubin,
+}
+
+impl Stack {
+    /// Display label.
+    pub fn label(self) -> &'static str {
+        match self {
+            Stack::Direct => "Direct",
+            Stack::Nio => "TCP (NIO)",
+            Stack::Rubin => "RDMA (Rubin)",
+        }
+    }
+
+    /// Builds one endpoint per host — node `i` on `hosts[i]`, core 0 — on
+    /// the paper's models ([`TcpModel::linux_xeon`], [`RnicModel::mt27520`],
+    /// [`RubinConfig::paper`]), then runs the simulator until the mesh is
+    /// connected. The direct stack has no connections to settle.
+    pub fn build(
+        self,
+        sim: &mut Simulator,
+        net: &Network,
+        hosts: &[HostId],
+    ) -> Vec<Rc<dyn Transport>> {
+        fn erase<T: Transport + 'static>(ts: Vec<T>) -> Vec<Rc<dyn Transport>> {
+            ts.into_iter()
+                .map(|t| Rc::new(t) as Rc<dyn Transport>)
+                .collect()
+        }
+        let nodes: Vec<(NodeId, HostId, CoreId)> =
+            (0..).zip(hosts).map(|(i, &h)| (i, h, CoreId(0))).collect();
+        let transports = match self {
+            Stack::Direct => {
+                let pairs: Vec<(NodeId, HostId)> = (0..).zip(hosts.iter().copied()).collect();
+                return erase(SimTransport::build_group(net, &pairs));
+            }
+            Stack::Nio => erase(NioTransport::build_group(
+                sim,
+                net,
+                &nodes,
+                TcpModel::linux_xeon(),
+            )),
+            Stack::Rubin => erase(RubinTransport::build_group(
+                sim,
+                net,
+                &nodes,
+                RnicModel::mt27520(),
+                RubinConfig::paper(),
+            )),
+        };
+        sim.run_until_idle();
+        transports
     }
 }
 

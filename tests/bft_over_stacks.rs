@@ -3,21 +3,8 @@
 //! — the paper's end goal of an RDMA-enabled BFT protocol, exercised end
 //! to end.
 
-use std::rc::Rc;
-
-use rdma_verbs::RnicModel;
-use reptor::{
-    ByzantineMode, Client, CounterService, NioTransport, Replica, ReptorConfig, RubinTransport,
-    Transport, DOMAIN_SECRET,
-};
-use rubin::RubinConfig;
-use simnet::{CoreId, HostId, Network, Simulator, TestBed};
-use simnet_socket::TcpModel;
-
-enum StackKind {
-    Nio,
-    Rubin,
-}
+use reptor::{ByzantineMode, Client, CounterService, Replica, ReptorConfig, Stack, DOMAIN_SECRET};
+use simnet::{Network, Simulator, TestBed};
 
 struct World {
     sim: Simulator,
@@ -26,33 +13,11 @@ struct World {
     client: Client,
 }
 
-fn build(kind: StackKind, seed: u64) -> World {
+fn build(kind: Stack, seed: u64) -> World {
     let cfg = ReptorConfig::small();
     let n = cfg.n;
     let (mut sim, net, hosts) = TestBed::cluster(seed, n + 1);
-    let nodes: Vec<(u32, HostId, CoreId)> = hosts
-        .iter()
-        .enumerate()
-        .map(|(i, &h)| (i as u32, h, CoreId(0)))
-        .collect();
-    let transports: Vec<Rc<dyn Transport>> = match kind {
-        StackKind::Nio => NioTransport::build_group(&mut sim, &net, &nodes, TcpModel::linux_xeon())
-            .into_iter()
-            .map(|t| Rc::new(t) as Rc<dyn Transport>)
-            .collect(),
-        StackKind::Rubin => RubinTransport::build_group(
-            &mut sim,
-            &net,
-            &nodes,
-            RnicModel::mt27520(),
-            RubinConfig::paper(),
-        )
-        .into_iter()
-        .map(|t| Rc::new(t) as Rc<dyn Transport>)
-        .collect(),
-    };
-    // Let the mesh establish before the protocol starts.
-    sim.run_until_idle();
+    let transports = kind.build(&mut sim, &net, &hosts);
 
     let replicas: Vec<Replica> = (0..n)
         .map(|i| {
@@ -102,7 +67,7 @@ fn assert_total_order(replicas: &[Replica]) {
 
 #[test]
 fn bft_counter_over_nio_tcp_stack() {
-    let mut w = build(StackKind::Nio, 101);
+    let mut w = build(Stack::Nio, 101);
     let client = w.client.clone();
     for _ in 0..10 {
         client.submit(&mut w.sim, b"inc".to_vec());
@@ -119,7 +84,7 @@ fn bft_counter_over_nio_tcp_stack() {
 
 #[test]
 fn bft_counter_over_rubin_rdma_stack() {
-    let mut w = build(StackKind::Rubin, 102);
+    let mut w = build(Stack::Rubin, 102);
     let client = w.client.clone();
     for _ in 0..10 {
         client.submit(&mut w.sim, b"inc".to_vec());
@@ -138,7 +103,7 @@ fn bft_counter_over_rubin_rdma_stack() {
 fn rdma_stack_commits_faster_than_tcp_stack() {
     // The paper's motivation end to end: agreement latency over RUBIN must
     // beat agreement latency over the NIO TCP stack.
-    let latency = |kind: StackKind| {
+    let latency = |kind: Stack| {
         let mut w = build(kind, 103);
         let client = w.client.clone();
         for _ in 0..10 {
@@ -149,8 +114,8 @@ fn rdma_stack_commits_faster_than_tcp_stack() {
         let total: u128 = comps.iter().map(|c| c.latency().as_nanos() as u128).sum();
         total / comps.len() as u128
     };
-    let tcp = latency(StackKind::Nio);
-    let rdma = latency(StackKind::Rubin);
+    let tcp = latency(Stack::Nio);
+    let rdma = latency(Stack::Rubin);
     assert!(
         rdma < tcp,
         "RDMA agreement ({rdma}ns) must beat TCP agreement ({tcp}ns)"
@@ -159,7 +124,7 @@ fn rdma_stack_commits_faster_than_tcp_stack() {
 
 #[test]
 fn byzantine_leader_tolerated_over_rubin_stack() {
-    let mut w = build(StackKind::Rubin, 104);
+    let mut w = build(Stack::Rubin, 104);
     w.replicas[0].set_byzantine(ByzantineMode::SilentPrimary);
     let client = w.client.clone();
     client.submit(&mut w.sim, b"inc".to_vec());
@@ -173,7 +138,7 @@ fn byzantine_leader_tolerated_over_rubin_stack() {
 
 #[test]
 fn crashed_replica_tolerated_over_nio_stack() {
-    let mut w = build(StackKind::Nio, 105);
+    let mut w = build(Stack::Nio, 105);
     w.replicas[2].set_byzantine(ByzantineMode::Crash);
     let client = w.client.clone();
     for _ in 0..5 {

@@ -19,16 +19,11 @@
 //!   view-change to a new primary, and the transport layer re-dials the
 //!   restarted host with exponential backoff.
 
-use std::rc::Rc;
-
-use rdma_verbs::RnicModel;
 use reptor::{
-    ByzantineMode, Client, CounterService, NioTransport, RecoveryConfig, RecoveryScheduler,
-    Replica, ReptorConfig, RubinTransport, Transport, DOMAIN_SECRET,
+    ByzantineMode, Client, CounterService, RecoveryConfig, RecoveryScheduler, Replica,
+    ReptorConfig, Stack, DOMAIN_SECRET,
 };
-use rubin::RubinConfig;
-use simnet::{ChaosAction, ChaosSchedule, CoreId, HostId, Nanos, Network, Simulator, TestBed};
-use simnet_socket::TcpModel;
+use simnet::{ChaosAction, ChaosSchedule, HostId, Nanos, Network, Simulator, TestBed};
 
 /// Seed for the chaos timeline; CI sweeps this via the environment.
 fn chaos_seed() -> u64 {
@@ -38,82 +33,22 @@ fn chaos_seed() -> u64 {
         .unwrap_or(1)
 }
 
-#[derive(Clone, Copy)]
-enum StackKind {
-    Nio,
-    Rubin,
-}
-
-/// The concrete transport endpoints, kept so scenarios can assert on
-/// reconnect counters after the protocol layer is done with them.
-enum Stacks {
-    Nio(Vec<NioTransport>),
-    Rubin(Vec<RubinTransport>),
-}
-
-impl Stacks {
-    fn reconnect_attempts(&self) -> u64 {
-        match self {
-            Stacks::Nio(ts) => ts.iter().map(NioTransport::reconnect_attempts).sum(),
-            Stacks::Rubin(ts) => ts.iter().map(RubinTransport::reconnect_attempts).sum(),
-        }
-    }
-
-    fn reconnects_completed(&self) -> u64 {
-        match self {
-            Stacks::Nio(ts) => ts.iter().map(NioTransport::reconnects_completed).sum(),
-            Stacks::Rubin(ts) => ts.iter().map(RubinTransport::reconnects_completed).sum(),
-        }
-    }
-}
-
 struct World {
     sim: Simulator,
     net: Network,
     hosts: Vec<HostId>,
     replicas: Vec<Replica>,
     client: Client,
-    stacks: Stacks,
 }
 
-fn build(kind: StackKind, seed: u64) -> World {
+fn build(kind: Stack, seed: u64) -> World {
     build_cfg(kind, seed, ReptorConfig::small())
 }
 
-fn build_cfg(kind: StackKind, seed: u64, cfg: ReptorConfig) -> World {
+fn build_cfg(kind: Stack, seed: u64, cfg: ReptorConfig) -> World {
     let n = cfg.n;
     let (mut sim, net, hosts) = TestBed::cluster(seed, n + 1);
-    let nodes: Vec<(u32, HostId, CoreId)> = hosts
-        .iter()
-        .enumerate()
-        .map(|(i, &h)| (i as u32, h, CoreId(0)))
-        .collect();
-    let (stacks, transports): (Stacks, Vec<Rc<dyn Transport>>) = match kind {
-        StackKind::Nio => {
-            let ts = NioTransport::build_group(&mut sim, &net, &nodes, TcpModel::linux_xeon());
-            let dyns = ts
-                .iter()
-                .map(|t| Rc::new(t.clone()) as Rc<dyn Transport>)
-                .collect();
-            (Stacks::Nio(ts), dyns)
-        }
-        StackKind::Rubin => {
-            let ts = RubinTransport::build_group(
-                &mut sim,
-                &net,
-                &nodes,
-                RnicModel::mt27520(),
-                RubinConfig::paper(),
-            );
-            let dyns = ts
-                .iter()
-                .map(|t| Rc::new(t.clone()) as Rc<dyn Transport>)
-                .collect();
-            (Stacks::Rubin(ts), dyns)
-        }
-    };
-    // Let the mesh establish before faults or traffic start.
-    sim.run_until_idle();
+    let transports = kind.build(&mut sim, &net, &hosts);
 
     let replicas: Vec<Replica> = (0..n)
         .map(|i| {
@@ -135,7 +70,6 @@ fn build_cfg(kind: StackKind, seed: u64, cfg: ReptorConfig) -> World {
         hosts,
         replicas,
         client,
-        stacks,
     }
 }
 
@@ -179,7 +113,7 @@ fn lossy_mesh(w: &World, p: f64) {
 /// Agreement under packet loss: the per-stack reliability layer (RC
 /// retransmission / TCP go-back-N) absorbs 1–5% drop rates without the
 /// protocol noticing.
-fn loss_scenario(kind: StackKind, seed: u64) {
+fn loss_scenario(kind: Stack, seed: u64) {
     let mut w = build(kind, seed);
     // 1%..5% depending on the seed, so the CI matrix sweeps the range.
     let p = 0.01 * (1 + seed % 5) as f64;
@@ -200,18 +134,18 @@ fn loss_scenario(kind: StackKind, seed: u64) {
 
 #[test]
 fn pbft_reaches_agreement_under_loss_on_rubin_stack() {
-    loss_scenario(StackKind::Rubin, chaos_seed());
+    loss_scenario(Stack::Rubin, chaos_seed());
 }
 
 #[test]
 fn pbft_reaches_agreement_under_loss_on_nio_stack() {
-    loss_scenario(StackKind::Nio, chaos_seed());
+    loss_scenario(Stack::Nio, chaos_seed());
 }
 
 /// Duplicated and reordered frames must never double-execute a request:
 /// the QP/TCP sequence layer suppresses wire-level duplicates and the
 /// replica's client-request dedup absorbs client resends.
-fn dup_reorder_scenario(kind: StackKind, seed: u64) {
+fn dup_reorder_scenario(kind: Stack, seed: u64) {
     let mut w = build(kind, seed);
     w.net.with_faults(|f| {
         for &a in &w.hosts {
@@ -240,7 +174,7 @@ fn dup_reorder_scenario(kind: StackKind, seed: u64) {
     }
     let last = client.completions().last().unwrap().result.clone();
     assert_eq!(last, 10u64.to_le_bytes(), "counter incremented exactly 10x");
-    if matches!(kind, StackKind::Rubin) {
+    if matches!(kind, Stack::Rubin) {
         // The RDMA receive path saw and suppressed wire duplicates.
         let snap = w.net.metrics().snapshot();
         assert!(
@@ -252,12 +186,12 @@ fn dup_reorder_scenario(kind: StackKind, seed: u64) {
 
 #[test]
 fn duplicated_and_reordered_frames_execute_exactly_once_on_rubin_stack() {
-    dup_reorder_scenario(StackKind::Rubin, chaos_seed());
+    dup_reorder_scenario(Stack::Rubin, chaos_seed());
 }
 
 #[test]
 fn duplicated_and_reordered_frames_execute_exactly_once_on_nio_stack() {
-    dup_reorder_scenario(StackKind::Nio, chaos_seed());
+    dup_reorder_scenario(Stack::Nio, chaos_seed());
 }
 
 /// Client-request idempotence under resend-like pressure: with every
@@ -266,7 +200,7 @@ fn duplicated_and_reordered_frames_execute_exactly_once_on_nio_stack() {
 /// wire-level sequence dedup).
 #[test]
 fn duplicated_client_requests_are_deduplicated_by_replicas() {
-    let mut w = build(StackKind::Rubin, chaos_seed());
+    let mut w = build(Stack::Rubin, chaos_seed());
     let client_host = *w.hosts.last().unwrap();
     w.net.with_faults(|f| {
         for &h in &w.hosts[..w.hosts.len() - 1] {
@@ -299,7 +233,7 @@ fn duplicated_client_requests_are_deduplicated_by_replicas() {
 /// bytes inside the RDMA data packets).
 #[test]
 fn corrupted_frames_are_rejected_by_mac_and_agreement_survives() {
-    let mut w = build(StackKind::Rubin, chaos_seed());
+    let mut w = build(Stack::Rubin, chaos_seed());
     // Corrupt only replica↔replica links; the client's links stay clean so
     // requests and replies flow. MACs turn corruption into plain loss.
     let replica_hosts = &w.hosts[..w.hosts.len() - 1];
@@ -338,7 +272,7 @@ fn corrupted_frames_are_rejected_by_mac_and_agreement_survives() {
 /// after which the mesh is whole again — and nothing executed twice.
 ///
 /// Returns the run's metrics snapshot JSON for the determinism test.
-fn primary_crash_scenario(kind: StackKind, seed: u64) -> String {
+fn primary_crash_scenario(kind: Stack, seed: u64) -> String {
     let mut w = build(kind, seed);
     let client = w.client.clone();
 
@@ -376,7 +310,7 @@ fn primary_crash_scenario(kind: StackKind, seed: u64) -> String {
         assert_eq!(r.stats().executed_requests, 8, "replica {}", r.id());
     }
     assert!(
-        w.stacks.reconnect_attempts() > 0,
+        w.net.metrics().total("reconnect_attempts") > 0,
         "peers must have re-dialed the crashed host"
     );
 
@@ -402,7 +336,7 @@ fn primary_crash_scenario(kind: StackKind, seed: u64) -> String {
     w.sim.run_until(t_heal + Nanos::from_millis(150));
 
     assert!(
-        w.stacks.reconnects_completed() > 0,
+        w.net.metrics().total("reconnects_completed") > 0,
         "re-dials must succeed once the host is back"
     );
     // Exactly-once execution end to end: the live replicas executed the
@@ -425,7 +359,7 @@ fn primary_crash_scenario(kind: StackKind, seed: u64) -> String {
 
 #[test]
 fn primary_crash_view_change_and_reconnect_on_rubin_stack() {
-    let json = primary_crash_scenario(StackKind::Rubin, chaos_seed());
+    let json = primary_crash_scenario(Stack::Rubin, chaos_seed());
     // The snapshot records the recovery machinery that ran.
     assert!(json.contains("reconnect_attempts"));
     assert!(json.contains("reconnects_completed"));
@@ -434,7 +368,7 @@ fn primary_crash_view_change_and_reconnect_on_rubin_stack() {
 
 #[test]
 fn primary_crash_view_change_and_reconnect_on_nio_stack() {
-    let json = primary_crash_scenario(StackKind::Nio, chaos_seed());
+    let json = primary_crash_scenario(Stack::Nio, chaos_seed());
     assert!(json.contains("reconnect_attempts"));
     assert!(json.contains("reconnects_completed"));
     assert!(json.contains("retransmits"));
@@ -444,8 +378,8 @@ fn primary_crash_view_change_and_reconnect_on_nio_stack() {
 /// change, reconnect backoff — replays byte-identically from a seed.
 #[test]
 fn fixed_seed_crash_timeline_replays_byte_identically() {
-    let a = primary_crash_scenario(StackKind::Rubin, chaos_seed());
-    let b = primary_crash_scenario(StackKind::Rubin, chaos_seed());
+    let a = primary_crash_scenario(Stack::Rubin, chaos_seed());
+    let b = primary_crash_scenario(Stack::Rubin, chaos_seed());
     assert_eq!(a, b, "same seed must give a byte-identical snapshot");
 }
 
@@ -478,7 +412,7 @@ fn submit_sequentially(w: &mut World, count: u64, already_done: u64) {
 /// detect this and route the transfer around it.
 ///
 /// Returns the run's metrics snapshot JSON for the determinism test.
-fn state_transfer_scenario(kind: StackKind, responder_fault: ByzantineMode, seed: u64) -> String {
+fn state_transfer_scenario(kind: Stack, responder_fault: ByzantineMode, seed: u64) -> String {
     let cfg = ReptorConfig {
         checkpoint_interval: 4,
         ..ReptorConfig::small()
@@ -599,7 +533,7 @@ fn state_transfer_scenario(kind: StackKind, responder_fault: ByzantineMode, seed
 
 #[test]
 fn partitioned_replica_rejoins_via_state_transfer_on_rubin_stack() {
-    let json = state_transfer_scenario(StackKind::Rubin, ByzantineMode::Honest, chaos_seed());
+    let json = state_transfer_scenario(Stack::Rubin, ByzantineMode::Honest, chaos_seed());
     // On the RDMA stack the chunks move by one-sided READs.
     assert!(json.contains("state_transfer_reads"));
     assert!(json.contains("\"reptor.r2.state_transfer_completed\":"));
@@ -607,35 +541,23 @@ fn partitioned_replica_rejoins_via_state_transfer_on_rubin_stack() {
 
 #[test]
 fn partitioned_replica_rejoins_via_state_transfer_on_nio_stack() {
-    let json = state_transfer_scenario(StackKind::Nio, ByzantineMode::Honest, chaos_seed());
+    let json = state_transfer_scenario(Stack::Nio, ByzantineMode::Honest, chaos_seed());
     assert!(json.contains("\"reptor.r2.state_transfer_completed\":"));
 }
 
 #[test]
 fn bogus_state_chunks_responder_is_detected_and_routed_around() {
-    state_transfer_scenario(
-        StackKind::Rubin,
-        ByzantineMode::BogusStateChunks,
-        chaos_seed(),
-    );
+    state_transfer_scenario(Stack::Rubin, ByzantineMode::BogusStateChunks, chaos_seed());
 }
 
 #[test]
 fn bogus_state_chunks_responder_is_routed_around_on_nio_stack() {
-    state_transfer_scenario(
-        StackKind::Nio,
-        ByzantineMode::BogusStateChunks,
-        chaos_seed(),
-    );
+    state_transfer_scenario(Stack::Nio, ByzantineMode::BogusStateChunks, chaos_seed());
 }
 
 #[test]
 fn stale_checkpoint_responder_is_detected_and_routed_around() {
-    state_transfer_scenario(
-        StackKind::Rubin,
-        ByzantineMode::StaleCheckpoint,
-        chaos_seed(),
-    );
+    state_transfer_scenario(Stack::Rubin, ByzantineMode::StaleCheckpoint, chaos_seed());
 }
 
 /// A full state transfer — partition, watermark lag, manifest and chunk
@@ -643,8 +565,8 @@ fn stale_checkpoint_responder_is_detected_and_routed_around() {
 /// byte-identically from a fixed seed.
 #[test]
 fn fixed_seed_state_transfer_replays_byte_identically() {
-    let a = state_transfer_scenario(StackKind::Rubin, ByzantineMode::Honest, chaos_seed());
-    let b = state_transfer_scenario(StackKind::Rubin, ByzantineMode::Honest, chaos_seed());
+    let a = state_transfer_scenario(Stack::Rubin, ByzantineMode::Honest, chaos_seed());
+    let b = state_transfer_scenario(Stack::Rubin, ByzantineMode::Honest, chaos_seed());
     assert_eq!(a, b, "same seed must give a byte-identical snapshot");
 }
 
@@ -653,7 +575,7 @@ fn fixed_seed_state_transfer_replays_byte_identically() {
 /// gone. `Replica::restart` rebuilds it from a fresh service instance;
 /// rejoin probes steer it through catch-up attestations into a state
 /// transfer and back into live agreement.
-fn restart_scenario(kind: StackKind, seed: u64) {
+fn restart_scenario(kind: Stack, seed: u64) {
     let cfg = ReptorConfig {
         checkpoint_interval: 4,
         ..ReptorConfig::small()
@@ -730,12 +652,12 @@ fn restart_scenario(kind: StackKind, seed: u64) {
 
 #[test]
 fn crashed_backup_restarts_cold_and_rejoins_via_state_transfer_on_rubin_stack() {
-    restart_scenario(StackKind::Rubin, chaos_seed());
+    restart_scenario(Stack::Rubin, chaos_seed());
 }
 
 #[test]
 fn crashed_backup_restarts_cold_and_rejoins_via_state_transfer_on_nio_stack() {
-    restart_scenario(StackKind::Nio, chaos_seed());
+    restart_scenario(Stack::Nio, chaos_seed());
 }
 
 /// Proactive recovery colliding with a partition: a full epoch rotation
@@ -747,7 +669,7 @@ fn crashed_backup_restarts_cold_and_rejoins_via_state_transfer_on_nio_stack() {
 /// wedging, and complete the rotation. After the heal the abandoned
 /// replica — restarted cold into the partition — recovers through its
 /// own rejoin probes and converges.
-fn refresh_partition_collision_scenario(kind: StackKind, seed: u64) {
+fn refresh_partition_collision_scenario(kind: Stack, seed: u64) {
     let cfg = ReptorConfig {
         checkpoint_interval: 4,
         ..ReptorConfig::small()
@@ -843,12 +765,12 @@ fn refresh_partition_collision_scenario(kind: StackKind, seed: u64) {
 
 #[test]
 fn proactive_refresh_collides_with_partition_on_rubin_stack() {
-    refresh_partition_collision_scenario(StackKind::Rubin, chaos_seed());
+    refresh_partition_collision_scenario(Stack::Rubin, chaos_seed());
 }
 
 #[test]
 fn proactive_refresh_collides_with_partition_on_nio_stack() {
-    refresh_partition_collision_scenario(StackKind::Nio, chaos_seed());
+    refresh_partition_collision_scenario(Stack::Nio, chaos_seed());
 }
 
 /// A Byzantine responder advertising a stale-epoch rkey, on the RDMA
@@ -867,7 +789,7 @@ fn stale_epoch_offer_scenario(seed: u64) -> String {
         ..ReptorConfig::small()
     };
     let interval = cfg.checkpoint_interval;
-    let mut w = build_cfg(StackKind::Rubin, seed, cfg);
+    let mut w = build_cfg(Stack::Rubin, seed, cfg);
     let laggard = w.replicas[2].clone();
 
     // Healthy prefix; replica 3's agreement role stays honest so
@@ -990,7 +912,7 @@ fn equivocating_slot_writer_scenario(seed: u64) -> String {
         checkpoint_interval: 4,
         ..ReptorConfig::small()
     };
-    let mut w = build_cfg(StackKind::Rubin, seed, cfg);
+    let mut w = build_cfg(Stack::Rubin, seed, cfg);
     let client = w.client.clone();
 
     // Healthy prefix: the followers' slot grants reach the leader, so
@@ -1063,7 +985,7 @@ fn deposed_slot_writer_scenario(seed: u64) -> String {
         checkpoint_interval: 4,
         ..ReptorConfig::small()
     };
-    let mut w = build_cfg(StackKind::Rubin, seed, cfg);
+    let mut w = build_cfg(Stack::Rubin, seed, cfg);
     let client = w.client.clone();
 
     // Healthy prefix under replica 0, so it holds live slot grants.

@@ -12,31 +12,19 @@
 //! Every scenario is seeded from `CHAOS_SEED` (CI sweeps 1–5) and
 //! replays byte-identically, asserted over the full metrics snapshot.
 
-use std::rc::Rc;
-
-use rdma_verbs::RnicModel;
 use reptor::{
-    ByzantineMode, Client, CounterService, DurabilityConfig, KvOp, KvService, NioTransport,
-    Replica, ReptorConfig, RubinTransport, StateMachine, Transport, DOMAIN_SECRET, SLOT_BYTES,
+    ByzantineMode, Client, CounterService, DurabilityConfig, KvOp, KvService, Replica,
+    ReptorConfig, Stack, StateMachine, DOMAIN_SECRET, SLOT_BYTES,
 };
-use rubin::RubinConfig;
 use simnet::{
-    ChaosAction, ChaosSchedule, CoreId, DiskFault, DiskSpec, HostId, Nanos, Network, Simulator,
-    TestBed,
+    ChaosAction, ChaosSchedule, DiskFault, DiskSpec, HostId, Nanos, Network, Simulator, TestBed,
 };
-use simnet_socket::TcpModel;
 
 fn chaos_seed() -> u64 {
     std::env::var("CHAOS_SEED")
         .ok()
         .and_then(|s| s.parse().ok())
         .unwrap_or(1)
-}
-
-#[derive(Clone, Copy)]
-enum StackKind {
-    Nio,
-    Rubin,
 }
 
 struct World {
@@ -60,35 +48,14 @@ fn durable_cfg(snapshot_every: u64) -> ReptorConfig {
 }
 
 fn build(
-    kind: StackKind,
+    kind: Stack,
     seed: u64,
     cfg: ReptorConfig,
     service: impl Fn() -> Box<dyn StateMachine>,
 ) -> World {
     let n = cfg.n;
     let (mut sim, net, hosts) = TestBed::cluster(seed, n + 1);
-    let nodes: Vec<(u32, HostId, CoreId)> = hosts
-        .iter()
-        .enumerate()
-        .map(|(i, &h)| (i as u32, h, CoreId(0)))
-        .collect();
-    let transports: Vec<Rc<dyn Transport>> = match kind {
-        StackKind::Nio => NioTransport::build_group(&mut sim, &net, &nodes, TcpModel::linux_xeon())
-            .into_iter()
-            .map(|t| Rc::new(t) as Rc<dyn Transport>)
-            .collect(),
-        StackKind::Rubin => RubinTransport::build_group(
-            &mut sim,
-            &net,
-            &nodes,
-            RnicModel::mt27520(),
-            RubinConfig::paper(),
-        )
-        .into_iter()
-        .map(|t| Rc::new(t) as Rc<dyn Transport>)
-        .collect(),
-    };
-    sim.run_until_idle();
+    let transports = kind.build(&mut sim, &net, &hosts);
     let replicas: Vec<Replica> = (0..n)
         .map(|i| {
             Replica::new(
@@ -210,7 +177,7 @@ fn put(key: String, val: Vec<u8>) -> Vec<u8> {
 /// prefix locally, and fetch only the missing delta — most checkpoint
 /// chunks are satisfied from the locally rebuilt payload, asserted via
 /// the `state_transfer_*_local` byte counters.
-fn torn_wal_tail_scenario(kind: StackKind, seed: u64) -> String {
+fn torn_wal_tail_scenario(kind: Stack, seed: u64) -> String {
     // No snapshot compaction (large `snapshot_every`): the WAL carries
     // the full history, so the torn tail is the only storage damage.
     let mut w = build(kind, seed, durable_cfg(100), || Box::<KvService>::default());
@@ -296,20 +263,20 @@ fn torn_wal_tail_scenario(kind: StackKind, seed: u64) -> String {
 
 #[test]
 fn torn_wal_tail_recovers_clean_prefix_and_delta_fetches_on_rubin_stack() {
-    let json = torn_wal_tail_scenario(StackKind::Rubin, chaos_seed());
+    let json = torn_wal_tail_scenario(Stack::Rubin, chaos_seed());
     assert!(json.contains("\"reptor.r1.state_transfer_bytes_local\":"));
     assert!(json.contains("\"disk.r1.torn_writes\":1"));
 }
 
 #[test]
 fn torn_wal_tail_recovers_clean_prefix_and_delta_fetches_on_nio_stack() {
-    torn_wal_tail_scenario(StackKind::Nio, chaos_seed());
+    torn_wal_tail_scenario(Stack::Nio, chaos_seed());
 }
 
 #[test]
 fn fixed_seed_torn_tail_timeline_replays_byte_identically() {
-    let a = torn_wal_tail_scenario(StackKind::Rubin, chaos_seed());
-    let b = torn_wal_tail_scenario(StackKind::Rubin, chaos_seed());
+    let a = torn_wal_tail_scenario(Stack::Rubin, chaos_seed());
+    let b = torn_wal_tail_scenario(Stack::Rubin, chaos_seed());
     assert_eq!(a, b, "same seed must give a byte-identical snapshot");
 }
 
@@ -317,7 +284,7 @@ fn fixed_seed_torn_tail_timeline_replays_byte_identically() {
 /// corrupted in flight. The CRCs catch the damage at restart, recovery
 /// counts the fallback and rebuilds entirely from peers — corrupt local
 /// state is never installed.
-fn bitflip_snapshot_scenario(kind: StackKind, seed: u64) -> String {
+fn bitflip_snapshot_scenario(kind: Stack, seed: u64) -> String {
     let mut w = build(kind, seed, durable_cfg(1), || {
         Box::<CounterService>::default()
     });
@@ -370,7 +337,7 @@ fn bitflip_snapshot_scenario(kind: StackKind, seed: u64) -> String {
 
 #[test]
 fn bitflipped_snapshot_falls_back_to_peer_state_transfer() {
-    let json = bitflip_snapshot_scenario(StackKind::Rubin, chaos_seed());
+    let json = bitflip_snapshot_scenario(Stack::Rubin, chaos_seed());
     assert!(json.contains("\"reptor.r1.snapshot_corrupt_fallback\":"));
 }
 
@@ -379,7 +346,7 @@ fn bitflipped_snapshot_falls_back_to_peer_state_transfer() {
 /// valid snapshot and a WAL whose frames start past the snapshot seq —
 /// the contiguity check refuses to replay across the gap, and the
 /// replica rebuilds from peers instead of installing a wrong prefix.
-fn compaction_crash_scenario(kind: StackKind, seed: u64) -> String {
+fn compaction_crash_scenario(kind: Stack, seed: u64) -> String {
     let mut w = build(kind, seed, durable_cfg(1), || {
         Box::<CounterService>::default()
     });
@@ -430,14 +397,14 @@ fn compaction_crash_scenario(kind: StackKind, seed: u64) -> String {
 
 #[test]
 fn crash_during_compaction_recovers_safely_from_peers() {
-    compaction_crash_scenario(StackKind::Rubin, chaos_seed());
+    compaction_crash_scenario(Stack::Rubin, chaos_seed());
 }
 
 /// Whole-cluster power loss: every replica restarts cold from its own
 /// drive. Each one installs its snapshot, re-seals and attests the
 /// recovered checkpoint, and the group resumes — with zero state-transfer
 /// traffic, because nobody is missing anything a peer would have.
-fn full_cluster_restart_scenario(kind: StackKind, seed: u64) -> String {
+fn full_cluster_restart_scenario(kind: Stack, seed: u64) -> String {
     let mut w = build(kind, seed, durable_cfg(1), || {
         Box::<CounterService>::default()
     });
@@ -500,19 +467,19 @@ fn full_cluster_restart_scenario(kind: StackKind, seed: u64) -> String {
 
 #[test]
 fn full_cluster_restarts_from_disk_with_zero_peer_fetches_on_rubin_stack() {
-    let json = full_cluster_restart_scenario(StackKind::Rubin, chaos_seed());
+    let json = full_cluster_restart_scenario(Stack::Rubin, chaos_seed());
     assert!(json.contains("\"reptor.r0.durable_restores\":1"));
 }
 
 #[test]
 fn full_cluster_restarts_from_disk_with_zero_peer_fetches_on_nio_stack() {
-    full_cluster_restart_scenario(StackKind::Nio, chaos_seed());
+    full_cluster_restart_scenario(Stack::Nio, chaos_seed());
 }
 
 #[test]
 fn fixed_seed_full_cluster_restart_replays_byte_identically() {
-    let a = full_cluster_restart_scenario(StackKind::Rubin, chaos_seed());
-    let b = full_cluster_restart_scenario(StackKind::Rubin, chaos_seed());
+    let a = full_cluster_restart_scenario(Stack::Rubin, chaos_seed());
+    let b = full_cluster_restart_scenario(Stack::Rubin, chaos_seed());
     assert_eq!(a, b, "same seed must give a byte-identical snapshot");
 }
 
@@ -528,7 +495,7 @@ fn second_crash_rejoins_without_inherited_backoff() {
         checkpoint_interval: 4,
         ..ReptorConfig::small()
     };
-    let mut w = build(StackKind::Rubin, chaos_seed(), cfg, || {
+    let mut w = build(Stack::Rubin, chaos_seed(), cfg, || {
         Box::<CounterService>::default()
     });
     let victim = w.replicas[1].clone();

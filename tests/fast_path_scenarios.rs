@@ -17,16 +17,8 @@
 //!   stack) and across COP pipeline counts, the message path engages
 //!   cleanly as the fallback.
 
-use std::rc::Rc;
-
-use rdma_verbs::RnicModel;
-use reptor::{
-    Client, CounterService, NioTransport, Replica, ReptorConfig, RubinTransport, Transport,
-    DOMAIN_SECRET,
-};
-use rubin::RubinConfig;
-use simnet::{CoreId, CpuModel, HostId, LinkSpec, Nanos, Network, Simulator, TestBed};
-use simnet_socket::TcpModel;
+use reptor::{Client, CounterService, Replica, ReptorConfig, Stack, DOMAIN_SECRET};
+use simnet::{CpuModel, HostId, LinkSpec, Nanos, Network, Simulator, TestBed};
 
 /// Seed for the scenario timeline; CI sweeps this via the environment.
 fn chaos_seed() -> u64 {
@@ -34,12 +26,6 @@ fn chaos_seed() -> u64 {
         .ok()
         .and_then(|s| s.parse().ok())
         .unwrap_or(1)
-}
-
-#[derive(Clone, Copy)]
-enum StackKind {
-    Nio,
-    Rubin,
 }
 
 struct World {
@@ -52,7 +38,7 @@ struct World {
 /// A full-mesh world on the given stack. `propagation` overrides the
 /// one-way link delay (the 2-delay scenario uses a delay that dwarfs
 /// every CPU and serialization cost so hop counts dominate).
-fn build(kind: StackKind, seed: u64, cfg: ReptorConfig, propagation: Option<Nanos>) -> World {
+fn build(kind: Stack, seed: u64, cfg: ReptorConfig, propagation: Option<Nanos>) -> World {
     let n = cfg.n;
     let (mut sim, net, hosts) = match propagation {
         None => TestBed::cluster(seed, n + 1),
@@ -69,29 +55,7 @@ fn build(kind: StackKind, seed: u64, cfg: ReptorConfig, propagation: Option<Nano
             (sim, net, hosts)
         }
     };
-    let nodes: Vec<(u32, HostId, CoreId)> = hosts
-        .iter()
-        .enumerate()
-        .map(|(i, &h)| (i as u32, h, CoreId(0)))
-        .collect();
-    let transports: Vec<Rc<dyn Transport>> = match kind {
-        StackKind::Nio => NioTransport::build_group(&mut sim, &net, &nodes, TcpModel::linux_xeon())
-            .into_iter()
-            .map(|t| Rc::new(t) as Rc<dyn Transport>)
-            .collect(),
-        StackKind::Rubin => RubinTransport::build_group(
-            &mut sim,
-            &net,
-            &nodes,
-            RnicModel::mt27520(),
-            RubinConfig::paper(),
-        )
-        .into_iter()
-        .map(|t| Rc::new(t) as Rc<dyn Transport>)
-        .collect(),
-    };
-    // Let the mesh establish before traffic starts.
-    sim.run_until_idle();
+    let transports = kind.build(&mut sim, &net, &hosts);
 
     let replicas: Vec<Replica> = (0..n)
         .map(|i| {
@@ -160,7 +124,7 @@ fn submit_sequentially(w: &mut World, count: u64, already_done: u64) {
 /// the doorbell and run prepare/commit unchanged. Returns the snapshot
 /// JSON for the determinism test.
 fn fast_path_commit_scenario(seed: u64) -> String {
-    let mut w = build(StackKind::Rubin, seed, fast_cfg(), None);
+    let mut w = build(Stack::Rubin, seed, fast_cfg(), None);
     let client = w.client.clone();
     for _ in 0..10 {
         client.submit(&mut w.sim, b"inc".to_vec());
@@ -218,7 +182,7 @@ fn fixed_seed_fast_path_timeline_replays_byte_identically() {
 fn fast_path_commits_two_network_delays_after_the_write_lands() {
     let delay = Nanos::from_micros(300);
     // Keep bandwidth costs negligible relative to the propagation delay.
-    let mut w = build(StackKind::Rubin, chaos_seed(), fast_cfg(), Some(delay));
+    let mut w = build(Stack::Rubin, chaos_seed(), fast_cfg(), Some(delay));
     // First request arms the grants (and may ride the message path);
     // everything after it is the common case under test.
     submit_sequentially(&mut w, 6, 0);
@@ -267,7 +231,7 @@ fn disabled_fast_path_leaves_no_trace_in_the_snapshot() {
             fast_path: fast,
             ..ReptorConfig::small()
         };
-        let mut w = build(StackKind::Rubin, chaos_seed(), cfg, None);
+        let mut w = build(Stack::Rubin, chaos_seed(), cfg, None);
         let client = w.client.clone();
         for _ in 0..10 {
             client.submit(&mut w.sim, b"inc".to_vec());
@@ -298,7 +262,7 @@ fn message_fallback_scenario(pillars: usize, seed: u64) {
         pillars,
         ..ReptorConfig::small()
     };
-    let mut w = build(StackKind::Nio, seed, cfg, None);
+    let mut w = build(Stack::Nio, seed, cfg, None);
     let client = w.client.clone();
     for _ in 0..10 {
         client.submit(&mut w.sim, b"inc".to_vec());
@@ -342,7 +306,7 @@ fn fast_path_composes_with_four_cop_pipelines() {
         pillars: 4,
         ..ReptorConfig::small()
     };
-    let mut w = build(StackKind::Rubin, chaos_seed(), cfg, None);
+    let mut w = build(Stack::Rubin, chaos_seed(), cfg, None);
     let client = w.client.clone();
     for _ in 0..20 {
         client.submit(&mut w.sim, b"inc".to_vec());
